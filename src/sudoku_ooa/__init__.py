@@ -30,7 +30,6 @@ from .gf import (
     DivisionByZero,
     Field,
     NotPrimePower,
-    arith,
     find_generator,
     make_field,
     multiplicative_order,

@@ -21,7 +21,7 @@ from .files import (
     grid_to_text,
 )
 from .gf import find_generator, make_field
-from .ooa import assemble, verify
+from .ooa import VerifyResult, assemble, verify
 from .strong import FlagData, check_algebraic, check_combinatorial
 from .sudoku import generate
 
@@ -40,14 +40,19 @@ def _grid_paths(out: str | None, count: int) -> list[str | None]:
     return [str(base.with_name(f"{base.stem}_{t}{base.suffix}")) for t in range(1, count + 1)]
 
 
+def _print_verdict(result: VerifyResult) -> int:
+    """Print ``PASS`` or ``FAIL <witness>``; return the matching exit code."""
+    print("PASS" if result.ok else f"FAIL {result.witness_text()}")
+    return 0 if result.ok else 1
+
+
 def _cmd_construct(args) -> int:
     fam = construct_family(args.q, args.s)
     grids = [generate(d.flag()) for d in fam.data]
     array = assemble(grids)
     result = verify(array, "ooa")
     if not result.ok:
-        print(f"FAIL {result.witness_text()}")
-        return 1
+        return _print_verdict(result)
     if args.emit == "flags":
         _write(args.out, flags_to_text(fam.data))
     elif args.emit == "grids":
@@ -61,25 +66,14 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     array = array_from_text(Path(args.path).read_text())
-    result = verify(array, args.mode)
-    if result.ok:
-        print("PASS")
-        return 0
-    print(f"FAIL {result.witness_text()}")
-    return 1
+    return _print_verdict(verify(array, args.mode))
 
 
 def _cmd_check_family(args) -> int:
     data = flags_from_text(Path(args.path).read_text())
     s = len(data) + 2
     if args.level == "exhaustive":
-        grids = [generate(d.flag()) for d in data]
-        result = verify(assemble(grids), "ooa")
-        if result.ok:
-            print("PASS")
-            return 0
-        print(f"FAIL {result.witness_text()}")
-        return 1
+        return _print_verdict(verify(assemble([generate(d.flag()) for d in data]), "ooa"))
     if args.level == "combinatorial":
         report = check_combinatorial([generate(d.flag()) for d in data], s)
     else:

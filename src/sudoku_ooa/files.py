@@ -6,10 +6,10 @@ single header line naming the kind and its parameters.
 
 from __future__ import annotations
 
-from .gf import make_field
+from .gf import NotPrimePower, make_field
 from .ooa import BandedArray, MalformedArray
 from .strong import FlagData
-from .sudoku import Grid
+from .sudoku import Grid, InvalidFlagData
 
 ARRAY_HEADER = "ooa t=4 s={s} l=2 v={q}"
 
@@ -22,7 +22,9 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _header_fields(line: str, kind: str, expected_keys: tuple[str, ...]) -> dict[str, int]:
+def _header_fields(
+    line: str, kind: str, expected_keys: tuple[str, ...], minimum: dict[str, int]
+) -> dict[str, int]:
     parts = line.split()
     if not parts or parts[0] != kind:
         raise ParseError(1, f"expected a '{kind}' header, got {line!r}")
@@ -38,6 +40,9 @@ def _header_fields(line: str, kind: str, expected_keys: tuple[str, ...]) -> dict
     missing = [k for k in expected_keys if k not in out]
     if missing:
         raise ParseError(1, f"missing header fields: {', '.join(missing)}")
+    for key, low in minimum.items():
+        if out[key] < low:
+            raise ParseError(1, f"header field {key} must be at least {low}, got {out[key]}")
     return out
 
 
@@ -71,9 +76,7 @@ def grid_from_text(text: str) -> Grid:
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty file")
-    q = _header_fields(lines[0], "sudoku", ("q",))["q"]
-    if q < 2:
-        raise ParseError(1, f"grid order q must be at least 2, got {q}")
+    q = _header_fields(lines[0], "sudoku", ("q",), {"q": 2})["q"]
     side = q * q
     rows = []
     for lineno, ln in _body_lines(text, side, "grid"):
@@ -87,6 +90,8 @@ def grid_from_text(text: str) -> Grid:
 
 def flags_to_text(data) -> str:
     data = list(data)
+    if not data:
+        raise ValueError("a flags file needs at least one flag datum")
     q = data[0].field.q
     lines = [f"flags q={q} count={len(data)}"]
     lines.extend(f"{d.a} {d.b} {d.c} {d.d} {d.beta}" for d in data)
@@ -97,12 +102,17 @@ def flags_from_text(text: str) -> list[FlagData]:
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty file")
-    header = _header_fields(lines[0], "flags", ("q", "count"))
-    field = make_field(header["q"])
+    header = _header_fields(lines[0], "flags", ("q", "count"), {"count": 1})
+    try:
+        field = make_field(header["q"])
+    except NotPrimePower as exc:
+        raise ParseError(1, str(exc)) from None
     out = []
     for lineno, ln in _body_lines(text, header["count"], "flag datum"):
-        a, b, c, d, beta = _int_row(ln, lineno, 5)
-        out.append(FlagData(field, a, b, c, d, beta))
+        try:
+            out.append(FlagData(field, *_int_row(ln, lineno, 5)))
+        except InvalidFlagData as exc:
+            raise ParseError(lineno, str(exc)) from None
     return out
 
 
@@ -116,7 +126,7 @@ def array_from_text(text: str) -> BandedArray:
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty file")
-    header = _header_fields(lines[0], "ooa", ("t", "s", "l", "v"))
+    header = _header_fields(lines[0], "ooa", ("t", "s", "l", "v"), {"s": 2, "v": 2})
     if header["t"] != 4 or header["l"] != 2:
         raise ParseError(1, f"only t=4, l=2 arrays are supported, got {lines[0]!r}")
     s, q = header["s"], header["v"]

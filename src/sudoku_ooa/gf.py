@@ -221,17 +221,6 @@ class Field:
         return result
 
 
-def arith(field: Field, op: str, x: int, y: int | None = None) -> int:
-    """Dispatch a named field operation; unary ops ignore y."""
-    if op in ("neg", "inv"):
-        return getattr(field, op)(x)
-    if op in ("add", "sub", "mul", "div"):
-        if y is None:
-            raise ValueError(f"{op} needs two operands")
-        return getattr(field, op)(x, y)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 @lru_cache(maxsize=None)
 def make_field(q: int) -> Field:
     """Field of order q with the deterministic minimal modulus.

@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .sudoku import DimensionMismatch
+from .sudoku import DimensionMismatch, first_repeat
 
 STRENGTH = 4  # tuples checked per row set
-BAND_WIDTH = 2  # rows per band
-MULTIPLICITY = 1  # occurrences required per tuple
 
 RowSet = frozenset  # of (band, depth) labels, both 1-based
 
@@ -178,15 +176,12 @@ class VerifyResult:
 def row_set_duplicate(array: BandedArray, rowset) -> tuple | None:
     """First duplicated 4-tuple in the row set, as (tuple, col_a, col_b)."""
     q = array.q
-    r0, r1, r2, r3 = (array.row(b, d) for b, d in sorted(rowset))
-    occupancy = [-1] * q**STRENGTH
-    for m in range(q**STRENGTH):
-        key = ((r0[m] * q + r1[m]) * q + r2[m]) * q + r3[m]
-        prev = occupancy[key]
-        if prev >= 0:
-            return (r0[m], r1[m], r2[m], r3[m]), prev, m
-        occupancy[key] = m
-    return None
+    picked = [array.row(b, d) for b, d in sorted(rowset)]
+    hit = first_repeat([((a * q + b) * q + c) * q + d for a, b, c, d in zip(*picked)])
+    if hit is None:
+        return None
+    first, second = hit
+    return tuple(row[second] for row in picked), first, second
 
 
 def verify(array: BandedArray, mode: str = "ooa") -> VerifyResult:

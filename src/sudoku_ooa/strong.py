@@ -25,9 +25,7 @@ from .sudoku import (
     Flag,
     InvalidFlagData,
     _check_shapes,
-    _large_cols_violation,
-    _large_rows_violation,
-    _orthogonality_violation,
+    _repeated_pair,
     _subsquares_latin_violation,
     _sudoku_violation,
     composite,
@@ -429,7 +427,7 @@ def check_combinatorial(grids, s: int) -> ConditionReport:
             raise NotMutuallyOrthogonal(f"member {t} is not a sudoku solution: {why}")
     orth_entries = []
     for i, j in combinations(range(1, n + 1), 2):
-        why = _orthogonality_violation(grids[i - 1], grids[j - 1])
+        why = _repeated_pair(grids[i - 1], grids[j - 1])
         if why is not None:
             raise NotMutuallyOrthogonal(f"members {i} and {j}: {why}")
         orth_entries.append(ConditionResult("orth", (i, j), "PASS"))
@@ -453,11 +451,11 @@ def check_combinatorial(grids, s: int) -> ConditionReport:
             for idx in condition_index_tuples("ii.a", n)
         }
         verdicts["ii.b"] = {
-            (i, j): _large_rows_violation(radixes[i - 1], grids[j - 1])
+            (i, j): _repeated_pair(radixes[i - 1], grids[j - 1], "row")
             for i, j in condition_index_tuples("ii.b", n)
         }
         verdicts["ii.c"] = {
-            (i, j): _large_cols_violation(radixes[i - 1], grids[j - 1])
+            (i, j): _repeated_pair(radixes[i - 1], grids[j - 1], "column")
             for i, j in condition_index_tuples("ii.c", n)
         }
 
@@ -467,15 +465,13 @@ def check_combinatorial(grids, s: int) -> ConditionReport:
         verdicts["iii.c"] = {}
         for i, j, k in condition_index_tuples("iii.a", n):
             n_ij = composites[(i, j)]
-            verdicts["iii.a"][(i, j, k)] = _large_rows_violation(n_ij, radixes[k - 1])
-            verdicts["iii.b"][(i, j, k)] = _large_cols_violation(n_ij, radixes[k - 1])
-            verdicts["iii.c"][(i, j, k)] = _orthogonality_violation(n_ij, grids[k - 1])
+            verdicts["iii.a"][(i, j, k)] = _repeated_pair(n_ij, radixes[k - 1], "row")
+            verdicts["iii.b"][(i, j, k)] = _repeated_pair(n_ij, radixes[k - 1], "column")
+            verdicts["iii.c"][(i, j, k)] = _repeated_pair(n_ij, grids[k - 1])
 
     if s >= 6:
         verdicts["iv"] = {
-            (i, j, k, l): _orthogonality_violation(
-                composites[(i, j)], composites[(k, l)]
-            )
+            (i, j, k, l): _repeated_pair(composites[(i, j)], composites[(k, l)])
             for i, j, k, l in condition_index_tuples("iv", n)
         }
 

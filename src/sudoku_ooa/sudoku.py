@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .gf import Field
 from .linalg import (
@@ -215,18 +216,36 @@ def _check_shapes(a: Grid, b: Grid) -> None:
         raise DimensionMismatch(f"grid shapes differ: q={a.q} vs q={b.q}")
 
 
-# -- predicates; each has a witness-reporting core used by the checkers ------
+# -- exactly-once scanning: witness-reporting cores of the predicates ---------
+
+
+def first_repeat(keys) -> tuple[int, int] | None:
+    """Positions (first, second) of the earliest key seen twice, or None.
+
+    Earliest by second occurrence: [1, 2, 2, 1] gives (1, 2).  ``keys`` is a
+    sequence of hashables; the all-distinct case is decided by one set build.
+    """
+    if len(set(keys)) == len(keys):
+        return None
+    seen: dict = {}
+    for m, key in enumerate(keys):
+        first = seen.setdefault(key, m)
+        if first != m:
+            return first, m
+
+
+def _first_non_permutation(lines, n: int) -> int | None:
+    """Index of the first line whose symbol set is not exactly 0..n-1."""
+    full = set(range(n))
+    return next((i for i, line in enumerate(lines) if set(line) != full), None)
 
 
 def _latin_violation(grid: Grid) -> str | None:
     side = grid.side
-    full = frozenset(range(side))
-    for r, row in enumerate(grid.rows):
-        if set(row) != full:
-            return f"row {r} is not a permutation of 0..{side - 1}"
-    for c in range(side):
-        if {row[c] for row in grid.rows} != full:
-            return f"column {c} is not a permutation of 0..{side - 1}"
+    for what, lines in (("row", grid.rows), ("column", zip(*grid.rows))):
+        i = _first_non_permutation(lines, side)
+        if i is not None:
+            return f"{what} {i} is not a permutation of 0..{side - 1}"
     return None
 
 
@@ -235,78 +254,54 @@ def _sudoku_violation(grid: Grid) -> str | None:
     if why is not None:
         return why
     q = grid.q
-    full = frozenset(range(grid.side))
-    for bi in range(q):
-        for bj in range(q):
-            seen = {
-                grid.rows[q * bi + di][q * bj + dj]
-                for di in range(q)
-                for dj in range(q)
-            }
-            if seen != full:
-                return f"subsquare ({bi},{bj}) misses a symbol"
+    boxes = (
+        chain.from_iterable(
+            row[q * bj : q * bj + q] for row in grid.rows[q * bi : q * bi + q]
+        )
+        for bi in range(q)
+        for bj in range(q)
+    )
+    i = _first_non_permutation(boxes, grid.side)
+    if i is not None:
+        return f"subsquare ({i // q},{i % q}) misses a symbol"
     return None
 
 
 def _subsquares_latin_violation(grid: Grid) -> str | None:
     q = grid.q
-    digits = frozenset(range(q))
     for bi in range(q):
         for bj in range(q):
-            for di in range(q):
-                if {grid.rows[q * bi + di][q * bj + dj] for dj in range(q)} != digits:
-                    return f"subsquare ({bi},{bj}) row {di} is not a permutation"
-            for dj in range(q):
-                if {grid.rows[q * bi + di][q * bj + dj] for di in range(q)} != digits:
-                    return f"subsquare ({bi},{bj}) column {dj} is not a permutation"
+            box = [row[q * bj : q * bj + q] for row in grid.rows[q * bi : q * bi + q]]
+            i = _first_non_permutation(box + list(zip(*box)), q)
+            if i is not None:
+                what = "row" if i < q else "column"
+                return f"subsquare ({bi},{bj}) {what} {i % q} is not a permutation"
     return None
 
 
-def _orthogonality_violation(a: Grid, b: Grid) -> str | None:
+def _repeated_pair(a: Grid, b: Grid, block: str = "grid") -> str | None:
+    """Witness of the first superimposed pair seen twice within one block.
+
+    A block is the whole grid (``grid``), a large row of q rows (``row``), or
+    a large column (``column``), scanned as a large row of the transposed
+    grids.  Cells are read row by row within a block, and reported as (r, c).
+    """
     _check_shapes(a, b)
-    seen: dict[tuple[int, int], tuple[int, int]] = {}
-    for r in range(a.side):
-        ra, rb = a.rows[r], b.rows[r]
-        for c in range(a.side):
-            pair = (ra[c], rb[c])
-            if pair in seen:
-                return f"pair {pair} at cells {seen[pair]} and {(r, c)}"
-            seen[pair] = (r, c)
-    return None
-
-
-def _large_rows_violation(a: Grid, b: Grid) -> str | None:
-    _check_shapes(a, b)
-    q = a.q
-    for big in range(q):
-        seen: dict[tuple[int, int], tuple[int, int]] = {}
-        for r in range(q * big, q * big + q):
-            ra, rb = a.rows[r], b.rows[r]
-            for c in range(a.side):
-                pair = (ra[c], rb[c])
-                if pair in seen:
-                    return (
-                        f"large row {big}: pair {pair} at cells"
-                        f" {seen[pair]} and {(r, c)}"
-                    )
-                seen[pair] = (r, c)
-    return None
-
-
-def _large_cols_violation(a: Grid, b: Grid) -> str | None:
-    _check_shapes(a, b)
-    q = a.q
-    for big in range(q):
-        seen: dict[tuple[int, int], tuple[int, int]] = {}
-        for c in range(q * big, q * big + q):
-            for r in range(a.side):
-                pair = (a.rows[r][c], b.rows[r][c])
-                if pair in seen:
-                    return (
-                        f"large column {big}: pair {pair} at cells"
-                        f" {seen[pair]} and {(r, c)}"
-                    )
-                seen[pair] = (r, c)
+    side = a.side
+    height = side if block == "grid" else a.q
+    rows_a, rows_b = a.rows, b.rows
+    if block == "column":
+        rows_a, rows_b = tuple(zip(*rows_a)), tuple(zip(*rows_b))
+    for top in range(0, side, height):
+        block_rows = rows_a[top : top + height], rows_b[top : top + height]
+        pairs = list(chain.from_iterable(map(zip, *block_rows)))
+        hit = first_repeat(pairs)
+        if hit is not None:
+            cells = [(top + m // side, m % side) for m in hit]
+            if block == "column":
+                cells = [(r, c) for c, r in cells]
+            where = "" if block == "grid" else f"large {block} {top // height}: "
+            return f"{where}pair {pairs[hit[1]]} at cells {cells[0]} and {cells[1]}"
     return None
 
 
@@ -327,14 +322,14 @@ def subsquares_latin(grid: Grid) -> bool:
 
 def are_orthogonal(a: Grid, b: Grid) -> bool:
     """Superimposed ordered symbol pairs are all distinct."""
-    return _orthogonality_violation(a, b) is None
+    return _repeated_pair(a, b) is None
 
 
 def large_rows_orthogonal(a: Grid, b: Grid) -> bool:
     """No repeated superimposed pair within any large row."""
-    return _large_rows_violation(a, b) is None
+    return _repeated_pair(a, b, "row") is None
 
 
 def large_cols_orthogonal(a: Grid, b: Grid) -> bool:
     """No repeated superimposed pair within any large column."""
-    return _large_cols_violation(a, b) is None
+    return _repeated_pair(a, b, "column") is None

@@ -103,6 +103,24 @@ def test_verify_parse_error(tmp_path, capsys):
     assert "line" in stderr
 
 
+@pytest.mark.parametrize(
+    "command,header",
+    [
+        ("check-family", "flags q=3 count=-1"),
+        ("verify", "ooa t=4 s=-1 l=2 v=3"),
+        ("verify", "ooa t=4 s=3 l=2 v=-3"),
+    ],
+)
+def test_bad_header_is_a_parse_error(tmp_path, capsys, command, header):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(header + "\n")
+    code, stdout, stderr = run(capsys, command, str(bad))
+    assert code == 2
+    assert stdout == ""
+    assert "line 1:" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_check_family_levels_agree(tmp_path, capsys):
     flags = tmp_path / "flags.txt"
     flags.write_text("flags q=3 count=2\n2 1 0 2 1\n1 1 0 1 2\n")
@@ -150,7 +168,7 @@ def test_check_family_invalid_data(tmp_path, capsys):
     flags.write_text("flags q=3 count=1\n1 0 0 1 1\n")
     code, _, stderr = run(capsys, "check-family", str(flags))
     assert code == 2
-    assert "zero" in stderr
+    assert "line 2: upper-right entry b of the matrix datum is zero" in stderr
 
 
 def test_gen_sudoku(tmp_path, capsys):

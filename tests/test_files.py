@@ -48,14 +48,44 @@ def test_flags_roundtrip():
 
 
 def test_flags_parse_validates_data():
-    from sudoku_ooa import InvalidFlagData
-
-    with pytest.raises(InvalidFlagData):
+    with pytest.raises(ParseError, match="line 2: upper-right entry b"):
         flags_from_text("flags q=3 count=1\n1 0 0 1 1\n")
     with pytest.raises(ParseError, match="line 2"):
         flags_from_text("flags q=3 count=1\n1 1 0\n")
     with pytest.raises(ParseError, match="missing header"):
         flags_from_text("flags q=3\n1 1 0 1 1\n")
+
+
+def test_flags_parse_errors_carry_datum_line():
+    with pytest.raises(ParseError, match="line 3: entry 5 outside field of order 3"):
+        flags_from_text("flags q=3 count=2\n2 1 0 2 1\n1 5 0 1 2\n")
+    with pytest.raises(ParseError, match="line 4: beta is zero"):
+        flags_from_text("flags q=3 count=3\n2 1 0 2 1\n\n1 1 0 1 0\n1 1 0 1 2\n")
+    with pytest.raises(ParseError, match="line 2: matrix datum is singular"):
+        flags_from_text("flags q=3 count=1\n1 1 1 1 1\n")
+    with pytest.raises(ParseError, match="line 1: 6 is not a prime power"):
+        flags_from_text("flags q=6 count=1\n1 1 0 1 1\n")
+
+
+@pytest.mark.parametrize(
+    "parse,header,field",
+    [
+        (flags_from_text, "flags q=3 count=0", "count"),
+        (flags_from_text, "flags q=3 count=-1", "count"),
+        (array_from_text, "ooa t=4 s=-1 l=2 v=3", "s"),
+        (array_from_text, "ooa t=4 s=1 l=2 v=3", "s"),
+        (array_from_text, "ooa t=4 s=3 l=2 v=-3", "v"),
+        (grid_from_text, "sudoku q=1", "q"),
+    ],
+)
+def test_header_rejects_out_of_range_values(parse, header, field):
+    with pytest.raises(ParseError, match=f"line 1: header field {field} must be at least"):
+        parse(header + "\n0 1\n")
+
+
+def test_flags_to_text_needs_data():
+    with pytest.raises(ValueError, match="at least one flag datum"):
+        flags_to_text([])
 
 
 def test_array_roundtrip():

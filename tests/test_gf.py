@@ -9,7 +9,6 @@ import pytest
 from sudoku_ooa import (
     DivisionByZero,
     NotPrimePower,
-    arith,
     find_generator,
     make_field,
     multiplicative_order,
@@ -87,16 +86,6 @@ def test_arith_examples():
     assert f4.inv(2) == 3
     f7 = make_field(7)
     assert f7.add(3, 5) == 1
-    assert arith(f7, "add", 3, 5) == 1
-    assert arith(f4, "inv", 2) == 3
-
-
-def test_arith_rejects_bad_calls():
-    f = make_field(5)
-    with pytest.raises(ValueError, match="two operands"):
-        arith(f, "mul", 2)
-    with pytest.raises(ValueError, match="unknown operation"):
-        arith(f, "xor", 1, 2)
 
 
 def test_division_by_zero():

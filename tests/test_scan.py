@@ -1,0 +1,146 @@
+"""The exactly-once scanner against a plain dict-based reference scan.
+
+The reference is the straightforward loop: walk the cells of a block in
+order, remember where each key was first seen, and stop at the first key
+seen twice.  Witnesses must agree string for string on seeded single-cell
+corruptions, so the order of the scan is pinned as well as the verdict.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import fixtures as fx
+from sudoku_ooa import (
+    BandedArray,
+    Grid,
+    VerifyResult,
+    are_orthogonal,
+    assemble,
+    composite,
+    construct_family,
+    generate,
+    large_cols_orthogonal,
+    large_rows_orthogonal,
+    radix,
+    row_set_duplicate,
+    top_justified_sets,
+    verify,
+)
+from sudoku_ooa.sudoku import _repeated_pair, first_repeat
+
+ORDERS = (3, 4, 5)
+
+
+# -- reference scanner ---------------------------------------------------------
+
+
+def ref_scan(cells, key):
+    """(key, first cell, second cell) of the first key met twice, or None."""
+    seen = {}
+    for cell in cells:
+        k = key(cell)
+        if k in seen:
+            return k, seen[k], cell
+        seen[k] = cell
+    return None
+
+
+def ref_row_set_duplicate(array, rowset):
+    rows = [array.row(b, d) for b, d in sorted(rowset)]
+    return ref_scan(range(array.q**4), lambda m: tuple(r[m] for r in rows))
+
+
+def ref_pair_witness(a, b, block):
+    q, side = a.q, a.side
+    if block == "grid":
+        blocks = [[(r, c) for r in range(side) for c in range(side)]]
+    elif block == "row":
+        blocks = [[(r, c) for r in range(q * k, q * k + q) for c in range(side)] for k in range(q)]
+    else:
+        blocks = [[(r, c) for c in range(q * k, q * k + q) for r in range(side)] for k in range(q)]
+    for k, cells in enumerate(blocks):
+        hit = ref_scan(cells, lambda rc: (a.rows[rc[0]][rc[1]], b.rows[rc[0]][rc[1]]))
+        if hit is not None:
+            where = "" if block == "grid" else f"large {block} {k}: "
+            return f"{where}pair {hit[0]} at cells {hit[1]} and {hit[2]}"
+    return None
+
+
+# -- inputs ----------------------------------------------------------------------
+
+
+def family_grids(q):
+    """Two mutually orthogonal sudoku grids of order q^2."""
+    if q == 3:  # construct_family stops at s = 3, one grid, for q = 3
+        return [fx.PAIR3_M1, fx.PAIR3_M2]
+    return [generate(d.flag()) for d in construct_family(q, 4).data]
+
+
+def corrupt_cell(grid: Grid, rng: random.Random) -> Grid:
+    rows = [list(row) for row in grid.rows]
+    r, c = rng.randrange(grid.side), rng.randrange(grid.side)
+    rows[r][c] = rng.choice([x for x in range(grid.side) if x != rows[r][c]])
+    return Grid(grid.q, tuple(tuple(row) for row in rows))
+
+
+def corrupt_array(array: BandedArray, rng: random.Random) -> BandedArray:
+    rows = [list(row) for row in array.rows]
+    r, m = rng.randrange(len(rows)), rng.randrange(array.q**4)
+    rows[r][m] = rng.choice([x for x in range(array.q) if x != rows[r][m]])
+    return BandedArray(array.q, array.s, tuple(tuple(row) for row in rows))
+
+
+# -- tests -----------------------------------------------------------------------
+
+
+def test_first_repeat_edge_cases():
+    assert first_repeat([]) is None
+    assert first_repeat([7]) is None
+    assert first_repeat([1, 2, 3]) is None
+    assert first_repeat([1, 2, 2, 1]) == (1, 2)
+    assert first_repeat([5, 5]) == (0, 1)
+    assert first_repeat([(0, 1), (1, 0), (0, 1)]) == (0, 2)
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_pair_witnesses_match_reference(q):
+    rng = random.Random(100 + q)
+    g1, g2 = family_grids(q)
+    pool = [g1, g2, radix(g1), radix(g2), composite(radix(g1), radix(g2))]
+    witnesses = 0
+    for _ in range(12):
+        a, b = rng.sample(pool, 2)
+        which = rng.randrange(3)  # corrupt a, b, or neither
+        if which == 0:
+            a = corrupt_cell(a, rng)
+        elif which == 1:
+            b = corrupt_cell(b, rng)
+        for block, predicate in (
+            ("grid", are_orthogonal),
+            ("row", large_rows_orthogonal),
+            ("column", large_cols_orthogonal),
+        ):
+            want = ref_pair_witness(a, b, block)
+            assert _repeated_pair(a, b, block) == want
+            assert predicate(a, b) is (want is None)
+            witnesses += want is not None
+    assert witnesses >= 12
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_row_set_witnesses_match_reference(q):
+    rng = random.Random(200 + q)
+    array = assemble(family_grids(q))
+    for _ in range(4):
+        broken = corrupt_array(array, rng)
+        first_fail = None
+        for rowset in top_justified_sets(broken.s):
+            want = ref_row_set_duplicate(broken, rowset)
+            assert row_set_duplicate(broken, rowset) == want
+            if want is not None and first_fail is None:
+                first_fail = VerifyResult(False, rowset, *want)
+        assert first_fail is not None
+        assert verify(broken, "ooa").witness_text() == first_fail.witness_text()
