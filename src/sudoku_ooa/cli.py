@@ -33,6 +33,18 @@ def _write(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
+def _read(path: str) -> str:
+    """The file's text; a byte that is not UTF-8 is a parse error on its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        # Lines are counted as the parsers count them, by str.splitlines.
+        line = len((data[: exc.start].decode() + "x").splitlines())
+        byte = data[exc.start]
+        raise ParseError(line, f"byte 0x{byte:02x} is not UTF-8 ({exc.reason})") from None
+
+
 def _grid_paths(out: str | None, count: int) -> list[str | None]:
     if out is None or count == 1:
         return [out] * count
@@ -65,12 +77,12 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    array = array_from_text(Path(args.path).read_text())
+    array = array_from_text(_read(args.path))
     return _print_verdict(verify(array, args.mode))
 
 
 def _cmd_check_family(args) -> int:
-    data = flags_from_text(Path(args.path).read_text())
+    data = flags_from_text(_read(args.path))
     s = len(data) + 2
     if args.level == "exhaustive":
         return _print_verdict(verify(assemble([generate(d.flag()) for d in data]), "ooa"))

@@ -7,7 +7,7 @@ single header line naming the kind and its parameters.
 from __future__ import annotations
 
 from .gf import NotPrimePower, make_field
-from .ooa import BandedArray, MalformedArray
+from .ooa import BandedArray
 from .strong import FlagData
 from .sudoku import Grid, InvalidFlagData
 
@@ -46,13 +46,17 @@ def _header_fields(
     return out
 
 
-def _int_row(line: str, lineno: int, expected: int) -> tuple[int, ...]:
+def _int_row(line: str, lineno: int, expected: int, bound: int | None = None) -> tuple[int, ...]:
+    """The line's integers: exactly ``expected`` of them, each in 0..bound-1 if given."""
     try:
         row = tuple(int(tok) for tok in line.split())
     except ValueError:
         raise ParseError(lineno, f"non-integer entry in {line!r}") from None
     if len(row) != expected:
         raise ParseError(lineno, f"expected {expected} entries, got {len(row)}")
+    if bound is not None and (min(row) < 0 or max(row) >= bound):
+        bad = next(x for x in row if not 0 <= x < bound)
+        raise ParseError(lineno, f"entry {bad} outside 0..{bound - 1}")
     return row
 
 
@@ -78,14 +82,8 @@ def grid_from_text(text: str) -> Grid:
         raise ParseError(1, "empty file")
     q = _header_fields(lines[0], "sudoku", ("q",), {"q": 2})["q"]
     side = q * q
-    rows = []
-    for lineno, ln in _body_lines(text, side, "grid"):
-        row = _int_row(ln, lineno, side)
-        bad = [x for x in row if not 0 <= x < side]
-        if bad:
-            raise ParseError(lineno, f"symbol {bad[0]} outside 0..{side - 1}")
-        rows.append(row)
-    return Grid(q, tuple(rows))
+    body = _body_lines(text, side, "grid")
+    return Grid(q, tuple(_int_row(ln, lineno, side, side) for lineno, ln in body))
 
 
 def flags_to_text(data) -> str:
@@ -130,11 +128,5 @@ def array_from_text(text: str) -> BandedArray:
     if header["t"] != 4 or header["l"] != 2:
         raise ParseError(1, f"only t=4, l=2 arrays are supported, got {lines[0]!r}")
     s, q = header["s"], header["v"]
-    rows = [
-        _int_row(ln, lineno, q**4)
-        for lineno, ln in _body_lines(text, 2 * s, "array")
-    ]
-    try:
-        return BandedArray(q, s, tuple(rows))
-    except MalformedArray as exc:
-        raise ParseError(1, str(exc)) from None
+    body = _body_lines(text, 2 * s, "array")
+    return BandedArray(q, s, tuple(_int_row(ln, lineno, q**4, q) for lineno, ln in body))

@@ -1,22 +1,22 @@
-"""Exact arithmetic in GF(p**k) at desk scale.
+"""Exact, table-driven arithmetic in GF(p**k) for orders 2..256.
 
 Field elements are plain integers (canonical indices): the element with
 polynomial coefficients (c0, c1, ..., c_{k-1}), constant term first, has
 index sum(c_i * p**i).  Index 0 is zero and index 1 is one, so for prime
-fields the index is just the residue.  All operations are exact.
+fields the index is just the residue.  Each field precomputes add, neg, mul
+and inv tables when it is made, so every operation is one list lookup.
+Larger orders are refused: a q = 257 array would have 4.4e9 columns.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-# Orders up to this bound get q*q lookup tables; larger fields fall back to
-# per-call polynomial arithmetic.
-_TABLE_LIMIT = 256
+MAX_ORDER = 256  # largest field order make_field accepts
 
 
 class NotPrimePower(ValueError):
-    """The requested field order is not p**k for a prime p."""
+    """The requested field order is not p**k for a prime p, or exceeds MAX_ORDER."""
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -26,6 +26,8 @@ class DivisionByZero(ZeroDivisionError):
 def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise NotPrimePower(f"field order must be at least 2, got {q}")
+    if q > MAX_ORDER:
+        raise NotPrimePower(f"field order must be at most {MAX_ORDER}, got {q}")
     for p in range(2, q + 1):
         if p * p > q:
             return q, 1  # q itself is prime
@@ -103,20 +105,15 @@ class Field:
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        self._mul_table: list[int] | None = None
-        self._inv_table: list[int] | None = None
-        if self.q <= _TABLE_LIMIT:
-            q = self.q
-            mul = self._mul_raw
-            self._mul_table = [mul(a, b) for a in range(q) for b in range(q)]
-            inv_tab = [0] * q
-            for a in range(1, q):
-                if inv_tab[a]:
-                    continue
-                b = self._inv_raw(a)
-                inv_tab[a] = b
-                inv_tab[b] = a
-            self._inv_table = inv_tab
+        q = self.q
+        coeffs = [_index_coeffs(a, p, k) for a in range(q)]
+        self._add_table = [
+            self.index([x + y for x, y in zip(ca, cb)]) for ca in coeffs for cb in coeffs
+        ]
+        self._neg_table = [self.index([-x for x in c]) for c in coeffs]
+        self._mul_table = [self._mul_raw(a, b) for a in range(q) for b in range(q)]
+        # Built after the mul table, which _inv_raw's pow reads.
+        self._inv_table = [0] + [self._inv_raw(a) for a in range(1, q)]
 
     def __repr__(self) -> str:
         return f"Field(q={self.q})"
@@ -151,41 +148,18 @@ class Field:
     # -- arithmetic --
 
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        base = 1
-        for _ in range(self.k):
-            out += ((a % p + b % p) % p) * base
-            a //= p
-            b //= p
-            base *= p
-        return out
+        return self._add_table[a * self.q + b]
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        base = 1
-        for _ in range(self.k):
-            out += ((-(a % p)) % p) * base
-            a //= p
-            base *= p
-        return out
+        return self._neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        return self._mul_raw(a, b)
+        return self._mul_table[a * self.q + b]
 
     def _mul_raw(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
         prod = _poly_mul(
             _index_coeffs(a, self.p, self.k), _index_coeffs(b, self.p, self.k), self.p
         )
@@ -194,13 +168,9 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self._inv_raw(a)
+        return self._inv_table[a]
 
     def _inv_raw(self, a: int) -> int:
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:

@@ -8,6 +8,8 @@ subspaces are equal exactly when their Subspace values are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
 from .gf import Field
 
 Vec4 = tuple[int, int, int, int]
@@ -177,28 +179,37 @@ def unpack(q: int, m: int) -> Vec4:
     return (x1, x2, x3, x4)
 
 
+def _functional_values(field: Field, phi) -> list[int]:
+    """phi(x) = sum(phi_i * x_i) at every point x of F^4, in packed order."""
+    q = field.q
+    add, mul = field.add, field.mul
+    values = [0]
+    for c in phi:
+        # Appending coordinate x_i: each partial value v becomes the q values
+        # v + c*x_i, so the list stays in packed (lexicographic) order.
+        extend = [[add(v, mul(c, x)) for x in range(q)] for v in range(q)]
+        values = list(chain.from_iterable(map(extend.__getitem__, values)))
+    return values
+
+
 def coset_index_map(sub: Subspace) -> tuple[list[Vec4], list[int]]:
     """Minimal coset representatives plus a packed-vector -> coset-id table.
 
-    Representatives come out in increasing lexicographic order of their
-    canonical index tuples, and ids follow that order.
+    Two points share a coset exactly when every functional vanishing on the
+    subspace takes the same value at both, so each point is labeled by the
+    values of a nullspace basis.  Ids number the labels in order of first
+    occurrence in packed (lexicographic) order, so each coset's first point
+    is its minimal representative and representatives come out sorted.
     """
     field = sub.field
     q = field.q
-    total = q**4
-    members = span_elements(sub)
-    ids = [-1] * total
-    reps: list[Vec4] = []
-    add = field.add
-    for m in range(total):
-        if ids[m] >= 0:
-            continue
-        v = unpack(q, m)
-        cid = len(reps)
-        reps.append(v)
-        for w in members:
-            ids[pack(q, (add(v[0], w[0]), add(v[1], w[1]), add(v[2], w[2]), add(v[3], w[3])))] = cid
-    return reps, ids
+    columns = [_functional_values(field, phi) for phi in nullspace(field, sub.basis, 4)]
+    labels = list(zip(*columns)) if columns else [()] * q**4
+    # Built back to front, so each label keeps its first (minimal) point.
+    first = dict(zip(reversed(labels), reversed(range(len(labels)))))
+    reps = sorted(first.values())
+    ids_of = {labels[m]: cid for cid, m in enumerate(reps)}
+    return [unpack(q, m) for m in reps], [ids_of[label] for label in labels]
 
 
 def cosets(sub: Subspace) -> list[Vec4]:

@@ -11,7 +11,7 @@ contribute 0 or 2 rows (mode ``sa``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .sudoku import DimensionMismatch, first_repeat
 
@@ -50,7 +50,7 @@ class BandedArray:
         for r, row in enumerate(self.rows):
             if len(row) != ncols:
                 raise MalformedArray(f"row {r}: expected {ncols} columns, got {len(row)}")
-            if any(not 0 <= x < q for x in row):
+            if min(row) < 0 or max(row) >= q:
                 raise MalformedArray(f"row {r}: entry outside 0..{q - 1}")
 
     def row(self, band: int, depth: int) -> tuple[int, ...]:
@@ -69,26 +69,14 @@ def assemble(grids) -> BandedArray:
     for g in grids:
         if g.q != q or g.side != q * q:
             raise DimensionMismatch("grids must share one order q")
-    ncols = q**4
-    rows = [[0] * ncols for _ in range(2 * (len(grids) + 2))]
-    cells = [g.rows for g in grids]
-    m = 0
-    for x1 in range(q):
-        for x2 in range(q):
-            r = q * x1 + x2
-            for x3 in range(q):
-                for x4 in range(q):
-                    rows[0][m] = x1
-                    rows[1][m] = x2
-                    rows[2][m] = x3
-                    rows[3][m] = x4
-                    c = q * x3 + x4
-                    for t, grid_rows in enumerate(cells):
-                        sym = grid_rows[r][c]
-                        rows[4 + 2 * t][m] = sym // q
-                        rows[5 + 2 * t][m] = sym % q
-                    m += 1
-    return BandedArray(q, len(grids) + 2, tuple(tuple(r) for r in rows))
+    # Column m is the packed location ((x1*q + x2)*q + x3)*q + x4, which is
+    # also row*q^2 + column of the location's grid cell.
+    columns = range(q**4)
+    rows = [tuple(m // q**e % q for m in columns) for e in (3, 2, 1, 0)]
+    for g in grids:
+        cells = list(chain.from_iterable(g.rows))
+        rows += [tuple(sym // q for sym in cells), tuple(sym % q for sym in cells)]
+    return BandedArray(q, len(grids) + 2, tuple(rows))
 
 
 def top_justified_sets(s: int) -> list[RowSet]:

@@ -144,19 +144,10 @@ def is_sudoku_subspace(g: Subspace) -> bool:
     return all(trivial_intersection(g, w) for w in _blocking_spaces(g.field))
 
 
-def _grid_from_symbol_map(field: Field, symbol_at: list[int]) -> Grid:
-    q = field.q
+def _grid_from_symbol_map(q: int, symbol_at: list[int]) -> Grid:
+    # The packed location ((x1*q + x2)*q + x3)*q + x4 is row*q^2 + column.
     side = q * q
-    rows = [[0] * side for _ in range(side)]
-    m = 0
-    for x1 in range(q):
-        for x2 in range(q):
-            row = rows[q * x1 + x2]
-            for x3 in range(q):
-                for x4 in range(q):
-                    row[q * x3 + x4] = symbol_at[m]
-                    m += 1
-    return Grid(q, tuple(tuple(r) for r in rows))
+    return Grid(q, tuple(tuple(symbol_at[r : r + side]) for r in range(0, side * side, side)))
 
 
 def generate(flag: Flag) -> Grid:
@@ -179,7 +170,7 @@ def generate(flag: Flag) -> Grid:
     for radix_digit, sids in enumerate(groups):
         for units, sid in enumerate(sids):
             symbol_of[sid] = q * radix_digit + units
-    return _grid_from_symbol_map(field, [symbol_of[sid] for sid in sym_ids])
+    return _grid_from_symbol_map(q, [symbol_of[sid] for sid in sym_ids])
 
 
 def generate_from_subspace(g: Subspace) -> Grid:
@@ -189,7 +180,7 @@ def generate_from_subspace(g: Subspace) -> Grid:
     """
     if not is_sudoku_subspace(g):
         raise NotSudokuSubspace("subspace fails a row, column, or subsquare check")
-    return _grid_from_symbol_map(g.field, coset_index_map(g)[1])
+    return _grid_from_symbol_map(g.field.q, coset_index_map(g)[1])
 
 
 def radix(grid: Grid) -> Grid:

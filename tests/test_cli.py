@@ -121,6 +121,24 @@ def test_bad_header_is_a_parse_error(tmp_path, capsys, command, header):
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("command", ["verify", "check-family"])
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"flags q=3 count=1\n\xff\xfe 1 0 2 1\n")
+    code, stdout, stderr = run(capsys, command, str(bad))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: line 2: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+def test_flags_q257_is_a_header_error(tmp_path, capsys):
+    flags = tmp_path / "flags.txt"
+    flags.write_text("flags q=257 count=1\n1 1 0 1 1\n")
+    code, _, stderr = run(capsys, "check-family", str(flags))
+    assert code == 2
+    assert stderr == "error: line 1: field order must be at most 256, got 257\n"
+
+
 def test_check_family_levels_agree(tmp_path, capsys):
     flags = tmp_path / "flags.txt"
     flags.write_text("flags q=3 count=2\n2 1 0 2 1\n1 1 0 1 2\n")
@@ -202,6 +220,13 @@ def test_info(capsys, q, expected_max):
             "q": "9", "p": "3", "k": "2", "modulus": "1,0,1",
             "generator": "4", "max_s": "6",
         }
+
+
+def test_info_rejects_orders_above_256(capsys):
+    code, stdout, stderr = run(capsys, "info", "--q", "257")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: field order must be at most 256, got 257\n"
 
 
 def test_info_rejects_composite(capsys):

@@ -33,7 +33,7 @@ def test_grid_parse_errors():
         grid_from_text("latin q=3\n")
     with pytest.raises(ParseError, match="line 3"):
         grid_from_text("sudoku q=2\n0 1 2 3\n0 1 2\n2 3 0 1\n1 0 3 2\n")
-    with pytest.raises(ParseError, match="outside"):
+    with pytest.raises(ParseError, match=r"^line 5: entry 9 outside 0\.\.3$"):
         grid_from_text("sudoku q=2\n0 1 2 3\n2 3 0 1\n1 0 3 2\n3 2 1 9\n")
     with pytest.raises(ParseError, match="expected 4 grid lines"):
         grid_from_text("sudoku q=2\n0 1 2 3\n2 3 0 1\n")
@@ -104,6 +104,9 @@ def test_array_parse_errors():
     with pytest.raises(ParseError, match="t=4"):
         array_from_text(text.replace("t=4", "t=3"))
     lines = text.splitlines()
-    lines[2] = lines[2].replace("1", "7", 1)
-    with pytest.raises(ParseError, match="outside"):
+    lines[3] = lines[3].replace("1", "7", 1)
+    with pytest.raises(ParseError, match=r"^line 4: entry 7 outside 0\.\.1$"):
+        array_from_text("\n".join(lines) + "\n")
+    lines[3] = lines[3].replace("7", "-1", 1)
+    with pytest.raises(ParseError, match=r"^line 4: entry -1 outside 0\.\.1$"):
         array_from_text("\n".join(lines) + "\n")

@@ -144,12 +144,42 @@ def test_generator_order(q):
     assert multiplicative_order(f, find_generator(f)) == q - 1
 
 
-def test_tableless_arithmetic_agrees():
-    # The raw polynomial path must match the table-backed path entrywise.
-    f = make_field(9)
-    assert f._mul_table is not None
+def _digits(a, p, k):
+    return [a // p**i % p for i in range(k)]
+
+
+def _from_digits(cs, p):
+    return sum(c % p * p**i for i, c in enumerate(cs))
+
+
+def _schoolbook_mul(f, a, b):
+    """Product of the coefficient polynomials, reduced by the monic f.modulus."""
+    p, k = f.p, f.k
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(_digits(a, p, k)):
+        for j, y in enumerate(_digits(b, p, k)):
+            prod[i + j] += x * y
+    for top in range(2 * k - 2, k - 1, -1):
+        # x^top = -x^(top-k) * (m_0 + m_1 x + ... + m_{k-1} x^(k-1))
+        c, prod[top] = prod[top], 0
+        for i, m in enumerate(f.modulus[:k]):
+            prod[top - k + i] -= c * m
+    return _from_digits(prod[:k], p)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16])
+def test_tables_match_reference_arithmetic(q):
+    f = make_field(q)
+    p, k = f.p, f.k
     for a in f.elements():
+        assert f.neg(a) == _from_digits([-x for x in _digits(a, p, k)], p)
         for b in f.elements():
-            assert f._mul_raw(a, b) == f.mul(a, b)
-        if a:
-            assert f._inv_raw(a) == f.inv(a)
+            digit_sum = [x + y for x, y in zip(_digits(a, p, k), _digits(b, p, k))]
+            assert f.add(a, b) == _from_digits(digit_sum, p)
+            assert f.mul(a, b) == _schoolbook_mul(f, a, b)
+
+
+@pytest.mark.parametrize("q", [257, 1024, 65537])
+def test_orders_above_256_are_refused(q):
+    with pytest.raises(NotPrimePower, match="at most 256"):
+        make_field(q)

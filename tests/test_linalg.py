@@ -125,25 +125,31 @@ def test_cosets_examples():
     assert len(cosets(g)) == 4
 
 
-@pytest.mark.parametrize("q", [2, 3])
+def _random_subspace(f, rng, dim):
+    while True:
+        sub = subspace_from(f, [tuple(rng.randrange(f.q) for _ in range(4)) for _ in range(dim)])
+        if sub.dim == dim:
+            return sub
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_cosets_partition(q):
     f = make_field(q)
     rng = random.Random(q)
-    for _ in range(8):
-        vecs = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(rng.randrange(1, 4))]
-        sub = subspace_from(f, vecs)
+    for dim in (0, 1, 1, 2, 2, 3, 3, 4):
+        sub = _random_subspace(f, rng, dim)
         reps, ids = coset_index_map(sub)
+        members = span_elements(sub)
+        assert len(reps) == q**4 // q**dim
+        assert reps == sorted(reps)
         covered = set()
-        for rep in reps:
-            for w in span_elements(sub):
-                covered.add(vec_add(f, rep, w))
-        assert len(covered) == q**4
-        assert len(reps) == q**4 // q**sub.dim
-        # Representatives are each coset's lexicographic minimum.
         for cid, rep in enumerate(reps):
-            members = [vec_add(f, rep, w) for w in span_elements(sub)]
-            assert min(members) == rep
-            assert all(ids[pack(q, v)] == cid for v in members)
+            coset = [vec_add(f, rep, w) for w in members]
+            # Representatives are each coset's lexicographic minimum.
+            assert min(coset) == rep
+            assert all(ids[pack(q, v)] == cid for v in coset)
+            covered.update(coset)
+        assert len(covered) == q**4
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -1,0 +1,154 @@
+"""Property tests for the text parsers at q in {2, 3}.
+
+Each parser round-trips its own output.  A mutated text either parses or
+raises ParseError, and the CLI turns a ParseError into exit 2 with the same
+``line N:`` message, never a traceback.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from sudoku_ooa import (  # noqa: E402
+    BandedArray,
+    FlagData,
+    Grid,
+    InvalidFlagData,
+    ParseError,
+    array_from_text,
+    array_to_text,
+    flags_from_text,
+    flags_to_text,
+    grid_from_text,
+    grid_to_text,
+    make_field,
+)
+from sudoku_ooa.cli import main  # noqa: E402
+
+SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def grids(draw):
+    q = draw(st.sampled_from([2, 3]))
+    side = q * q
+    cells = st.lists(st.integers(0, side - 1), min_size=side, max_size=side)
+    rows = draw(st.lists(cells, min_size=side, max_size=side))
+    return Grid(q, tuple(tuple(r) for r in rows))
+
+
+def _datum_or_none(field, entries):
+    try:
+        return FlagData(field, *entries)
+    except InvalidFlagData:
+        return None
+
+
+@st.composite
+def flag_lists(draw):
+    field = make_field(draw(st.sampled_from([2, 3])))
+    entries = st.tuples(*[st.integers(0, field.q - 1)] * 5)
+    data = st.builds(lambda e: _datum_or_none(field, e), entries).filter(bool)
+    return draw(st.lists(data, min_size=1, max_size=3))
+
+
+@st.composite
+def arrays(draw):
+    q = draw(st.sampled_from([2, 3]))
+    s = draw(st.integers(2, 3))
+    row = st.lists(st.integers(0, q - 1), min_size=q**4, max_size=q**4)
+    rows = draw(st.lists(row, min_size=2 * s, max_size=2 * s))
+    return BandedArray(q, s, tuple(tuple(r) for r in rows))
+
+
+FORMATS = {
+    "grid": (grids(), grid_to_text, grid_from_text),
+    "flags": (flag_lists(), flags_to_text, flags_from_text),
+    "array": (arrays(), array_to_text, array_from_text),
+}
+
+# Characters that keep a mutation close to the format, plus any character.
+_NEAR = st.sampled_from(list("0123456789 -=\n\r\tqsvtlx") + ["count", "\x85", "٣"])
+
+
+@st.composite
+def mutated(draw, values, to_text):
+    """A valid text with one to three characters inserted, deleted or replaced."""
+    chars = list(to_text(draw(values)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(chars) - 1))
+        new = draw(st.one_of(_NEAR, st.characters()))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            chars.insert(i, new)
+        elif op == "delete":
+            del chars[i]
+        else:
+            chars[i] = new
+    return "".join(chars)
+
+
+def _parse_outcome(parse, text):
+    """The parsed value, or the ParseError; any other exception escapes."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("kind", FORMATS)
+def test_parsers_round_trip_their_output(kind):
+    values, to_text, parse = FORMATS[kind]
+
+    @SETTINGS
+    @given(values)
+    def check(value):
+        text = to_text(value)
+        assert parse(text) == (list(value) if kind == "flags" else value)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", FORMATS)
+def test_mutated_text_raises_only_parse_error(kind):
+    values, to_text, parse = FORMATS[kind]
+
+    @SETTINGS
+    @given(mutated(values, to_text))
+    def check(text):
+        outcome = _parse_outcome(parse, text)
+        if isinstance(outcome, ParseError):
+            assert str(outcome).startswith(f"line {outcome.line}: ")
+
+    check()
+
+
+@pytest.mark.parametrize("command,kind", [("verify", "array"), ("check-family", "flags")])
+def test_cli_exits_2_on_unparsable_input(tmp_path, capsys, command, kind):
+    values, to_text, parse = FORMATS[kind]
+    path = tmp_path / "input.txt"
+
+    @SETTINGS
+    @given(mutated(values, to_text), st.booleans())
+    def check(text, raw_byte):
+        data = text.encode()
+        if raw_byte:
+            data = data[:-1] + b"\xff"
+        path.write_bytes(data)
+        code = main([command, str(path)])
+        out, err = capsys.readouterr()
+        try:
+            outcome = _parse_outcome(parse, data.decode())
+        except UnicodeDecodeError:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: line ")
+            return
+        if isinstance(outcome, ParseError):
+            assert (code, out, err) == (2, "", f"error: {outcome}\n")
+        else:
+            assert code in (0, 1, 2)
+
+    check()
