@@ -45,6 +45,7 @@ from .linalg import (
     trivial_intersection,
 )
 from .ooa import (
+    ArrayTooLarge,
     BandedArray,
     GridCountZero,
     MalformedArray,

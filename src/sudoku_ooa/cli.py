@@ -21,7 +21,7 @@ from .files import (
     grid_to_text,
 )
 from .gf import find_generator, make_field
-from .ooa import VerifyResult, assemble, verify
+from .ooa import VerifyResult, assemble, check_size, verify
 from .strong import FlagData, check_algebraic, check_combinatorial
 from .sudoku import generate
 
@@ -59,6 +59,7 @@ def _print_verdict(result: VerifyResult) -> int:
 
 
 def _cmd_construct(args) -> int:
+    check_size(args.q, args.s)
     fam = construct_family(args.q, args.s)
     grids = [generate(d.flag()) for d in fam.data]
     array = assemble(grids)

@@ -6,8 +6,8 @@ single header line naming the kind and its parameters.
 
 from __future__ import annotations
 
-from .gf import NotPrimePower, make_field
-from .ooa import BandedArray
+from .gf import MAX_ORDER, NotPrimePower, make_field
+from .ooa import ArrayTooLarge, BandedArray, check_size
 from .strong import FlagData
 from .sudoku import Grid, InvalidFlagData
 
@@ -49,7 +49,7 @@ def _header_fields(
 def _int_row(line: str, lineno: int, expected: int, bound: int | None = None) -> tuple[int, ...]:
     """The line's integers: exactly ``expected`` of them, each in 0..bound-1 if given."""
     try:
-        row = tuple(int(tok) for tok in line.split())
+        row = tuple(map(int, line.split()))
     except ValueError:
         raise ParseError(lineno, f"non-integer entry in {line!r}") from None
     if len(row) != expected:
@@ -81,6 +81,8 @@ def grid_from_text(text: str) -> Grid:
     if not lines:
         raise ParseError(1, "empty file")
     q = _header_fields(lines[0], "sudoku", ("q",), {"q": 2})["q"]
+    if q > MAX_ORDER:
+        raise ParseError(1, f"field order must be at most {MAX_ORDER}, got {q}")
     side = q * q
     body = _body_lines(text, side, "grid")
     return Grid(q, tuple(_int_row(ln, lineno, side, side) for lineno, ln in body))
@@ -128,5 +130,9 @@ def array_from_text(text: str) -> BandedArray:
     if header["t"] != 4 or header["l"] != 2:
         raise ParseError(1, f"only t=4, l=2 arrays are supported, got {lines[0]!r}")
     s, q = header["s"], header["v"]
+    try:
+        check_size(q, s)
+    except ArrayTooLarge as exc:
+        raise ParseError(1, str(exc)) from None
     body = _body_lines(text, 2 * s, "array")
     return BandedArray(q, s, tuple(_int_row(ln, lineno, q**4, q) for lineno, ln in body))

@@ -6,10 +6,17 @@ digits and every further band the radix and units digits of one grid's
 symbols.  Verification checks the exactly-once condition on every 4-row
 top-justified set (mode ``ooa``) or only on those whose bands past the second
 contribute 0 or 2 rows (mode ``sa``).
+
+Verification works on packed rows: each row is one integer with a fixed-width
+slot per column, so a row set's q^4 tuple keys come out of a few big-integer
+operations instead of a loop over columns.  ``check_size`` refuses arrays
+above the ``MAX_ENTRIES`` memory budget; the array parser and ``construct``
+call it before building anything.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import chain, product
 
@@ -18,6 +25,10 @@ from .sudoku import DimensionMismatch, first_repeat
 STRENGTH = 4  # tuples checked per row set
 
 RowSet = frozenset  # of (band, depth) labels, both 1-based
+
+# Memory budget in array entries (2s*q^4).  It admits every guaranteed (q, s)
+# up to q = 27, whose max_s array has 15.9 M entries.
+MAX_ENTRIES = 2**24
 
 
 class MalformedArray(ValueError):
@@ -30,6 +41,34 @@ class NotTopJustified(ValueError):
 
 class GridCountZero(ValueError):
     """Assembly needs at least one grid."""
+
+
+class ArrayTooLarge(ValueError):
+    """The requested array would exceed the MAX_ENTRIES memory budget."""
+
+
+def check_size(q: int, s: int) -> None:
+    """Refuse a 2s x q^4 array above MAX_ENTRIES entries.
+
+    q and s are compared with the budget before 2*s*q^4 is formed, and the
+    message names neither, so a header value of any length is refused cheaply.
+    """
+    if q > MAX_ENTRIES or s > MAX_ENTRIES or 2 * s * q**STRENGTH > MAX_ENTRIES:
+        raise ArrayTooLarge(f"a 2s x q^4 array is limited to {MAX_ENTRIES} entries")
+
+
+# memoryview formats of the native unsigned 1-, 2- and 4-byte integers.
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I"}
+
+
+def _slot(q: int) -> tuple[str, int]:
+    """Format and width of the smallest slot that holds q^4 - 1.
+
+    Four bytes hold every key up to q = 256, and no array is larger: a q = 257
+    row would have 4.4e9 columns.
+    """
+    width = next(w for w in _SLOT_FORMATS if q**STRENGTH <= 256**w)
+    return _SLOT_FORMATS[width], width
 
 
 @dataclass(frozen=True)
@@ -161,15 +200,47 @@ class VerifyResult:
         )
 
 
-def row_set_duplicate(array: BandedArray, rowset) -> tuple | None:
-    """First duplicated 4-tuple in the row set, as (tuple, col_a, col_b)."""
+def _packed_rows(array: BandedArray) -> tuple[int, ...]:
+    """Each row as one integer holding entry m in slot m (see _slot).
+
+    Entries are below q <= 256, so each is one byte, placed at the low end of
+    its slot.  Native byte order throughout, so that ``_first_duplicate`` can
+    read the slots back with ``memoryview.cast``.
+    """
+    _, width = _slot(array.q)
+    low = 0 if sys.byteorder == "little" else width - 1
+    packed = []
+    for row in array.rows:
+        slots = bytearray(len(row) * width)
+        slots[low::width] = bytes(row)
+        packed.append(int.from_bytes(slots, sys.byteorder))
+    return tuple(packed)
+
+
+def _first_duplicate(array: BandedArray, packed: tuple[int, ...], rowset) -> tuple | None:
+    """``row_set_duplicate`` on the array's packed rows.
+
+    Column m's key is ((a*q + b)*q + c)*q + d over the set's rows in label
+    order.  Horner's rule on the packed rows forms all q^4 keys at once, one
+    per slot; every key is below q^4, so no slot carries into the next.
+    """
     q = array.q
-    picked = [array.row(b, d) for b, d in sorted(rowset)]
-    hit = first_repeat([((a * q + b) * q + c) * q + d for a, b, c, d in zip(*picked)])
+    labels = sorted(rowset)
+    key = 0
+    for b, d in labels:
+        key = key * q + packed[2 * (b - 1) + (d - 1)]
+    code, width = _slot(q)
+    keys = memoryview(key.to_bytes(q**STRENGTH * width, sys.byteorder)).cast(code)
+    hit = first_repeat(keys.tolist())
     if hit is None:
         return None
     first, second = hit
-    return tuple(row[second] for row in picked), first, second
+    return tuple(array.row(b, d)[second] for b, d in labels), first, second
+
+
+def row_set_duplicate(array: BandedArray, rowset) -> tuple | None:
+    """First duplicated 4-tuple in the row set, as (tuple, col_a, col_b)."""
+    return _first_duplicate(array, _packed_rows(array), rowset)
 
 
 def verify(array: BandedArray, mode: str = "ooa") -> VerifyResult:
@@ -181,10 +252,14 @@ def verify(array: BandedArray, mode: str = "ooa") -> VerifyResult:
     """
     if mode not in ("ooa", "sa"):
         raise ValueError(f"unknown mode {mode!r}")
+    # Packed once per call, not cached on the array: at q = 16 the packed rows
+    # take 2.6 MB, which a caller such as `construct` would otherwise keep
+    # alive while it writes the array out.
+    packed = _packed_rows(array)
     for rowset in top_justified_sets(array.s):
         if mode == "sa" and classify(rowset) != "sudoku-TJ":
             continue
-        hit = row_set_duplicate(array, rowset)
+        hit = _first_duplicate(array, packed, rowset)
         if hit is not None:
             dup, first, second = hit
             return VerifyResult(False, rowset, dup, first, second)

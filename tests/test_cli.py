@@ -109,6 +109,10 @@ def test_verify_parse_error(tmp_path, capsys):
         ("check-family", "flags q=3 count=-1"),
         ("verify", "ooa t=4 s=-1 l=2 v=3"),
         ("verify", "ooa t=4 s=3 l=2 v=-3"),
+        # Over the array memory budget, with values whose derived counts
+        # (2*s, v^4) have too many digits to convert to text.
+        pytest.param("verify", "ooa t=4 s=3 l=2 v=1" + "0" * 1100, id="verify-huge-v"),
+        pytest.param("verify", "ooa t=4 s=1" + "0" * 4000 + " l=2 v=3", id="verify-huge-s"),
     ],
 )
 def test_bad_header_is_a_parse_error(tmp_path, capsys, command, header):
@@ -117,7 +121,7 @@ def test_bad_header_is_a_parse_error(tmp_path, capsys, command, header):
     code, stdout, stderr = run(capsys, command, str(bad))
     assert code == 2
     assert stdout == ""
-    assert "line 1:" in stderr
+    assert stderr.startswith("error: line 1: ")
     assert "Traceback" not in stderr
 
 
@@ -129,6 +133,15 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, command):
     assert code == 2
     assert stdout == ""
     assert stderr == "error: line 2: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+def test_construct_refuses_arrays_over_budget(capsys):
+    # GF(49) is a valid field and s = 3 is guaranteed, but 6 * 49^4 entries
+    # exceed the budget; the refusal comes before any grid is generated.
+    code, stdout, stderr = run(capsys, "construct", "--q", "49", "--s", "3")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: a 2s x q^4 array is limited to 16777216 entries\n"
 
 
 def test_flags_q257_is_a_header_error(tmp_path, capsys):

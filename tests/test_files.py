@@ -83,6 +83,16 @@ def test_header_rejects_out_of_range_values(parse, header, field):
         parse(header + "\n0 1\n")
 
 
+def test_huge_headers_are_refused_at_line_1():
+    # Derived counts such as q*q or 2*s*v^4 of these would have more digits
+    # than int-to-str conversion allows, so they must not reach a message.
+    huge = "1" + "0" * 2200
+    with pytest.raises(ParseError, match=r"^line 1: field order must be at most 256, got 1"):
+        grid_from_text(f"sudoku q={huge}\n0\n")
+    with pytest.raises(ParseError, match=r"^line 1: a 2s x q\^4 array is limited to"):
+        array_from_text(f"ooa t=4 s=3 l=2 v={huge[:1101]}\n" + "0\n" * 6)
+
+
 def test_flags_to_text_needs_data():
     with pytest.raises(ValueError, match="at least one flag datum"):
         flags_to_text([])

@@ -8,6 +8,7 @@ import pytest
 
 import fixtures as fx
 from sudoku_ooa import (
+    ArrayTooLarge,
     BandedArray,
     DimensionMismatch,
     GridCountZero,
@@ -17,10 +18,12 @@ from sudoku_ooa import (
     classify,
     generate,
     make_field,
+    max_guaranteed_s,
     row_set_duplicate,
     top_justified_sets,
     verify,
 )
+from sudoku_ooa.ooa import MAX_ENTRIES, check_size
 from sudoku_ooa.strong import FlagData
 
 
@@ -185,3 +188,12 @@ def test_banded_array_validation():
         rows = [[0] * 16 for _ in range(6)]
         rows[2][5] = 2
         BandedArray(2, 3, tuple(tuple(r) for r in rows))
+
+
+def test_size_budget_admits_every_guaranteed_order_up_to_27():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27):
+        check_size(q, max_guaranteed_s(q))
+    assert 2 * 15 * 27**4 <= MAX_ENTRIES < 2 * 16 * 29**4
+    for q, s in ((29, 16), (32, 9), (2, MAX_ENTRIES + 1), (MAX_ENTRIES + 1, 3)):
+        with pytest.raises(ArrayTooLarge):
+            check_size(q, s)

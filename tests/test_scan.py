@@ -29,6 +29,7 @@ from sudoku_ooa import (
     top_justified_sets,
     verify,
 )
+from sudoku_ooa.ooa import _slot
 from sudoku_ooa.sudoku import _repeated_pair, first_repeat
 
 ORDERS = (3, 4, 5)
@@ -77,6 +78,12 @@ def family_grids(q):
     if q == 3:  # construct_family stops at s = 3, one grid, for q = 3
         return [fx.PAIR3_M1, fx.PAIR3_M2]
     return [generate(d.flag()) for d in construct_family(q, 4).data]
+
+
+def location_array(q):
+    """The two location bands alone: s = 2, one row set, and column m's key is m."""
+    rows = tuple(tuple(m // q**e % q for m in range(q**4)) for e in (3, 2, 1, 0))
+    return BandedArray(q, 2, rows)
 
 
 def corrupt_cell(grid: Grid, rng: random.Random) -> Grid:
@@ -144,3 +151,21 @@ def test_row_set_witnesses_match_reference(q):
                 first_fail = VerifyResult(False, rowset, *want)
         assert first_fail is not None
         assert verify(broken, "ooa").witness_text() == first_fail.witness_text()
+
+
+# q = 4 and 16 have the largest 1- and 2-byte keys (255 and 65535); q = 5 and
+# 17 are the first orders whose keys need 2 and 4 bytes.
+@pytest.mark.parametrize("q,width", [(2, 1), (4, 1), (5, 2), (16, 2), (17, 4)])
+def test_packed_scan_at_slot_width_boundaries(q, width):
+    assert _slot(q)[1] == width
+    rng = random.Random(300 + q)
+    array = location_array(q)
+    (rowset,) = top_justified_sets(2)
+    assert row_set_duplicate(array, rowset) is None
+    assert verify(array, "ooa") == VerifyResult(True)
+    for _ in range(3):
+        broken = corrupt_array(array, rng)
+        want = ref_row_set_duplicate(broken, rowset)
+        assert want is not None
+        assert row_set_duplicate(broken, rowset) == want
+        assert verify(broken, "ooa") == VerifyResult(False, rowset, *want)
