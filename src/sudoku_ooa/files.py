@@ -33,9 +33,14 @@ def _header_fields(
         key, _, value = part.partition("=")
         if key not in expected_keys or not value:
             raise ParseError(1, f"unexpected header field {part!r}")
+        if key in out:
+            raise ParseError(1, f"repeated header field {part!r}")
         try:
             out[key] = int(value)
         except ValueError:
+            digits = value[1:] if value[0] in "+-" else value
+            if digits.isdecimal():  # an integer past the int-string digit limit
+                raise ParseError(1, f"header field {key} has too many digits") from None
             raise ParseError(1, f"non-integer header value {part!r}") from None
     missing = [k for k in expected_keys if k not in out]
     if missing:

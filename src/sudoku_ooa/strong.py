@@ -2,15 +2,19 @@
 
 A family of s-2 mutually orthogonal sudoku solutions is strongly orthogonal
 when it satisfies a tiered condition system; the tiers activate at family
-parameters s >= 3, 4, 5, 6.  Two independent checkers evaluate the system:
+parameters s >= 3, 4, 5, 6.  The README's "Condition system" table lists each
+condition with its index range and both of its tests.  Two independent
+checkers evaluate the system:
 
 * ``check_algebraic`` works on flag data alone, through 2x2/3x3 determinants
   and subspace intersections;
 * ``check_combinatorial`` works on the grids themselves, by exhaustive
   enumeration of symbol pairs.
 
-Both emit a ConditionReport keyed by condition label and index tuple, and
-they must agree verdict-for-verdict on families generated from flag data.
+Both map each condition label to a function from an index tuple to a
+witness (or None), and ``_report`` turns that map into a ConditionReport keyed
+by label and index tuple; the two must agree verdict-for-verdict on families
+generated from flag data.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .sudoku import (
     _subsquares_latin_violation,
     _sudoku_violation,
     composite,
+    datum_violation,
     flag_from_data,
     radix,
     subspace_gamma,
@@ -44,17 +49,6 @@ class NotMutuallyOrthogonal(ValueError):
 
 
 CONDITION_LABELS = ("i", "ii.a", "ii.b", "ii.c", "iii.a", "iii.b", "iii.c", "iv")
-
-_THRESHOLD = {
-    "i": 3,
-    "ii.a": 4,
-    "ii.b": 4,
-    "ii.c": 4,
-    "iii.a": 5,
-    "iii.b": 5,
-    "iii.c": 5,
-    "iv": 6,
-}
 
 
 @dataclass(frozen=True)
@@ -75,13 +69,10 @@ class FlagData:
         for x in (self.a, self.b, self.c, self.d, self.beta):
             if not 0 <= x < f.q:
                 raise InvalidFlagData(f"entry {x} outside field of order {f.q}")
-        if self.b == 0:
-            raise InvalidFlagData("upper-right entry b of the matrix datum is zero")
-        if self.beta == 0:
-            raise InvalidFlagData("beta is zero")
+        why = datum_violation(f, self.a, self.b, self.c, self.d, self.beta)
+        if why is not None:
+            raise InvalidFlagData(why)
         d = f.sub(f.mul(self.a, self.d), f.mul(self.b, self.c))
-        if d == 0:
-            raise InvalidFlagData("matrix datum is singular")
         object.__setattr__(self, "det", d)
         object.__setattr__(self, "delta", f.inv(d))
 
@@ -236,21 +227,21 @@ def condition_index_tuples(label: str, n: int) -> list[tuple[int, ...]]:
     raise ValueError(f"unknown condition label {label!r}")
 
 
-def _report(s: int, orth_entries, verdicts) -> ConditionReport:
-    """Assemble a report: verdicts maps label -> {indices: witness-or-None}."""
-    n = s - 2
+def _report(s: int, orth_entries, checks) -> ConditionReport:
+    """Assemble a report: checks maps label -> fn(*indices) -> witness-or-None.
+
+    A label with no index tuples over the s-2 members is reported N/A, and its
+    function is not called.
+    """
     entries = list(orth_entries)
     for label in CONDITION_LABELS:
-        if s < _THRESHOLD[label]:
+        tuples = condition_index_tuples(label, s - 2)
+        if not tuples:
             entries.append(ConditionResult(label, (), "N/A"))
-            continue
-        by_tuple = verdicts[label]
-        for idx in condition_index_tuples(label, n):
-            witness = by_tuple[idx]
-            if witness is None:
-                entries.append(ConditionResult(label, idx, "PASS"))
-            else:
-                entries.append(ConditionResult(label, idx, "FAIL", witness))
+        for idx in tuples:
+            witness = checks[label](*idx)
+            status = "PASS" if witness is None else "FAIL"
+            entries.append(ConditionResult(label, idx, status, witness))
     return ConditionReport(s, tuple(entries))
 
 
@@ -310,100 +301,57 @@ def check_algebraic(data, s: int) -> ConditionReport:
         inter[(i, j)] = w
         gammas[(i, j)] = gm
 
-    row_cuts = {}
-    col_cuts = {}
-    if s >= 5:
-        for k in range(1, n + 1):
-            row_cuts[k] = intersect(radix_spaces[k - 1], fixed.top_large_row)
-            col_cuts[k] = intersect(radix_spaces[k - 1], fixed.left_large_col)
+    row_cuts = [intersect(v, fixed.top_large_row) for v in radix_spaces]
+    col_cuts = [intersect(v, fixed.left_large_col) for v in radix_spaces]
 
-    verdicts: dict[str, dict[tuple[int, ...], str | None]] = {}
-
-    def _nonsingular(m, what: str) -> str | None:
+    def nonsingular(m, what: str) -> str | None:
         return None if det(f, m) != 0 else f"{what} is singular"
 
-    verdicts["i"] = {}
-    for (t,) in condition_index_tuples("i", n):
+    def apart(u: Subspace, w: Subspace, what: str) -> str | None:
+        return None if trivial_intersection(u, w) else what
+
+    def pair_matrix(matrix, what: str):
+        return lambda i, j: nonsingular(matrix(data[i - 1], data[j - 1]), what)
+
+    def misses_cut(cuts, what: str):
+        return lambda i, j, k: apart(inter[(i, j)], cuts[k - 1], what)
+
+    def member_datum(t):
         # FlagData is validated at construction, so this re-states validity.
         d = data[t - 1]
-        why = None
-        if d.b == 0:
-            why = "b is zero"
-        elif d.beta == 0:
-            why = "beta is zero"
-        elif d.det == 0:
-            why = "matrix datum is singular"
-        verdicts["i"][(t,)] = why
+        return datum_violation(f, d.a, d.b, d.c, d.d, d.beta)
 
-    if s >= 4:
-        verdicts["ii.a"] = {}
-        for idx in condition_index_tuples("ii.a", n):
-            gm = gammas[idx]
-            if gm is None:
-                why = "composite space has no matrix datum"
-            elif det(f, gm) == 0:
-                why = "composite matrix is singular"
-            elif gm[0][1] == 0:
-                why = "composite matrix has b = 0"
-            else:
-                why = None
-            verdicts["ii.a"][idx] = why
+    def composite_datum(i, j):
+        gm = gammas[(i, j)]
+        if gm is None:
+            return "composite space has no matrix datum"
+        if det(f, gm) == 0:
+            return "composite matrix is singular"
+        return "composite matrix has b = 0" if gm[0][1] == 0 else None
 
-        verdicts["ii.b"] = {}
-        verdicts["ii.c"] = {}
-        for i, j in condition_index_tuples("ii.b", n):
-            di, dj = data[i - 1], data[j - 1]
-            verdicts["ii.b"][(i, j)] = _nonsingular(
-                large_row_matrix(di, dj), "large-row matrix"
-            )
-            verdicts["ii.c"][(i, j)] = _nonsingular(
-                large_col_matrix(di, dj), "large-column matrix"
-            )
+    def composite_vs_member(i, j, k):
+        gm = gammas[(i, j)]
+        if gm is None:
+            why = "composite space meets member k's symbol space"
+            return apart(inter[(i, j)], symbol_spaces[k - 1], why)
+        return nonsingular(mat_sub(f, gm, data[k - 1].gamma), "composite-minus-member matrix")
 
-    if s >= 5:
-        verdicts["iii.a"] = {}
-        verdicts["iii.b"] = {}
-        verdicts["iii.c"] = {}
-        for i, j, k in condition_index_tuples("iii.a", n):
-            g_ij = inter[(i, j)]
-            verdicts["iii.a"][(i, j, k)] = (
-                None
-                if trivial_intersection(g_ij, row_cuts[k])
-                else "meets the top-large-row cut of member k"
-            )
-            verdicts["iii.b"][(i, j, k)] = (
-                None
-                if trivial_intersection(g_ij, col_cuts[k])
-                else "meets the left-large-column cut of member k"
-            )
-            gm = gammas[(i, j)]
-            if gm is not None:
-                why = _nonsingular(
-                    mat_sub(f, gm, data[k - 1].gamma), "composite-minus-member matrix"
-                )
-            else:
-                why = (
-                    None
-                    if trivial_intersection(g_ij, symbol_spaces[k - 1])
-                    else "composite space meets member k's symbol space"
-                )
-            verdicts["iii.c"][(i, j, k)] = why
+    def composite_vs_composite(i, j, k, l):
+        gm1, gm2 = gammas[(i, j)], gammas[(k, l)]
+        if gm1 is None or gm2 is None:
+            return apart(inter[(i, j)], inter[(k, l)], "the two composite spaces meet")
+        return nonsingular(mat_sub(f, gm1, gm2), "composite difference matrix")
 
-    if s >= 6:
-        verdicts["iv"] = {}
-        for i, j, k, l in condition_index_tuples("iv", n):
-            gm1, gm2 = gammas[(i, j)], gammas[(k, l)]
-            if gm1 is not None and gm2 is not None:
-                why = _nonsingular(mat_sub(f, gm1, gm2), "composite difference matrix")
-            else:
-                why = (
-                    None
-                    if trivial_intersection(inter[(i, j)], inter[(k, l)])
-                    else "the two composite spaces meet"
-                )
-            verdicts["iv"][(i, j, k, l)] = why
-
-    return _report(s, orth_entries, verdicts)
+    return _report(s, orth_entries, {
+        "i": member_datum,
+        "ii.a": composite_datum,
+        "ii.b": pair_matrix(large_row_matrix, "large-row matrix"),
+        "ii.c": pair_matrix(large_col_matrix, "large-column matrix"),
+        "iii.a": misses_cut(row_cuts, "meets the top-large-row cut of member k"),
+        "iii.b": misses_cut(col_cuts, "meets the left-large-column cut of member k"),
+        "iii.c": composite_vs_member,
+        "iv": composite_vs_composite,
+    })
 
 
 # -- combinatorial checker ----------------------------------------------------
@@ -438,41 +386,13 @@ def check_combinatorial(grids, s: int) -> ConditionReport:
         for i, j in combinations(range(1, n + 1), 2)
     }
 
-    verdicts: dict[str, dict[tuple[int, ...], str | None]] = {}
-
-    verdicts["i"] = {
-        (t,): _subsquares_latin_violation(radixes[t - 1])
-        for (t,) in condition_index_tuples("i", n)
-    }
-
-    if s >= 4:
-        verdicts["ii.a"] = {
-            idx: _sudoku_violation(composites[idx])
-            for idx in condition_index_tuples("ii.a", n)
-        }
-        verdicts["ii.b"] = {
-            (i, j): _repeated_pair(radixes[i - 1], grids[j - 1], "row")
-            for i, j in condition_index_tuples("ii.b", n)
-        }
-        verdicts["ii.c"] = {
-            (i, j): _repeated_pair(radixes[i - 1], grids[j - 1], "column")
-            for i, j in condition_index_tuples("ii.c", n)
-        }
-
-    if s >= 5:
-        verdicts["iii.a"] = {}
-        verdicts["iii.b"] = {}
-        verdicts["iii.c"] = {}
-        for i, j, k in condition_index_tuples("iii.a", n):
-            n_ij = composites[(i, j)]
-            verdicts["iii.a"][(i, j, k)] = _repeated_pair(n_ij, radixes[k - 1], "row")
-            verdicts["iii.b"][(i, j, k)] = _repeated_pair(n_ij, radixes[k - 1], "column")
-            verdicts["iii.c"][(i, j, k)] = _repeated_pair(n_ij, grids[k - 1])
-
-    if s >= 6:
-        verdicts["iv"] = {
-            (i, j, k, l): _repeated_pair(composites[(i, j)], composites[(k, l)])
-            for i, j, k, l in condition_index_tuples("iv", n)
-        }
-
-    return _report(s, orth_entries, verdicts)
+    return _report(s, orth_entries, {
+        "i": lambda t: _subsquares_latin_violation(radixes[t - 1]),
+        "ii.a": lambda i, j: _sudoku_violation(composites[(i, j)]),
+        "ii.b": lambda i, j: _repeated_pair(radixes[i - 1], grids[j - 1], "row"),
+        "ii.c": lambda i, j: _repeated_pair(radixes[i - 1], grids[j - 1], "column"),
+        "iii.a": lambda i, j, k: _repeated_pair(composites[(i, j)], radixes[k - 1], "row"),
+        "iii.b": lambda i, j, k: _repeated_pair(composites[(i, j)], radixes[k - 1], "column"),
+        "iii.c": lambda i, j, k: _repeated_pair(composites[(i, j)], grids[k - 1]),
+        "iv": lambda i, j, k, l: _repeated_pair(composites[(i, j)], composites[(k, l)]),
+    })

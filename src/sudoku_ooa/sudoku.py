@@ -67,29 +67,18 @@ class Flag:
     """Nested pair of subspaces: dim-2 symbol space inside dim-3 radix space.
 
     Symbols of the generated grid live on cosets of ``symbol_space`` and radix
-    digits on cosets of ``radix_space``.  ``gamma``/``beta`` record the datum
-    when the flag was built from one.
+    digits on cosets of ``radix_space``.  ``subspace_gamma(symbol_space)``
+    recovers the matrix datum of a flag built from one.
     """
 
     symbol_space: Subspace
     radix_space: Subspace
-    gamma: tuple[tuple[int, int], tuple[int, int]] | None = None
-    beta: int | None = None
 
     def __post_init__(self):
         if self.symbol_space.dim != 2 or self.radix_space.dim != 3:
             raise DimensionError("flag needs a dim-2 space inside a dim-3 space")
-        field = self.field
-        if rank(field, self.radix_space.basis + self.symbol_space.basis) != 3:
+        if rank(self.field, self.radix_space.basis + self.symbol_space.basis) != 3:
             raise DimensionError("symbol space is not contained in radix space")
-        if self.gamma is not None:
-            (a, b), (c, d) = self.gamma
-            if self.symbol_space != subspace_from(
-                field, [(1, 0, a, c), (0, 1, b, d)]
-            ) or self.radix_space != subspace_from(
-                field, [(1, 0, a, c), (0, 1, b, d), (0, 1, 0, self.beta)]
-            ):
-                raise InvalidFlagData("datum does not match the flag's spaces")
 
     @property
     def field(self) -> Field:
@@ -101,21 +90,32 @@ def flag_from_vectors(field: Field, v1, v2, v3) -> Flag:
     return Flag(subspace_from(field, [v1, v2]), subspace_from(field, [v1, v2, v3]))
 
 
+def datum_violation(field: Field, a: int, b: int, c: int, d: int, beta: int) -> str | None:
+    """Why matrix (a b; c d) with beta is not a flag datum, or None.
+
+    A datum needs b != 0, beta != 0 and ad - bc != 0; the first violated rule
+    is named.
+    """
+    if b == 0:
+        return "upper-right entry b of the matrix datum is zero"
+    if beta == 0:
+        return "beta is zero"
+    if field.sub(field.mul(a, d), field.mul(b, c)) == 0:
+        return "matrix datum is singular"
+    return None
+
+
 def flag_from_data(field: Field, gamma, beta: int) -> Flag:
     """Canonical flag for a datum: columns (1,0,a,c), (0,1,b,d), (0,1,0,beta).
 
-    The datum must satisfy b != 0, beta != 0 and det(gamma) != 0; each
-    violation is reported distinctly.
+    Raises InvalidFlagData with ``datum_violation``'s reason if the datum
+    breaks a rule.
     """
     (a, b), (c, d) = gamma
-    if b == 0:
-        raise InvalidFlagData("upper-right entry b of the matrix datum is zero")
-    if beta == 0:
-        raise InvalidFlagData("beta is zero")
-    if field.sub(field.mul(a, d), field.mul(b, c)) == 0:
-        raise InvalidFlagData("matrix datum is singular")
-    flag = flag_from_vectors(field, (1, 0, a, c), (0, 1, b, d), (0, 1, 0, beta))
-    return Flag(flag.symbol_space, flag.radix_space, ((a, b), (c, d)), beta)
+    why = datum_violation(field, a, b, c, d, beta)
+    if why is not None:
+        raise InvalidFlagData(why)
+    return flag_from_vectors(field, (1, 0, a, c), (0, 1, b, d), (0, 1, 0, beta))
 
 
 def subspace_gamma(sub: Subspace):

@@ -15,6 +15,7 @@ from sudoku_ooa import (
     check_algebraic,
     check_combinatorial,
     condition_index_tuples,
+    construct_family,
     det,
     fixed_subspaces,
     gamma_composite,
@@ -270,6 +271,30 @@ def test_condition_index_tuples_counts():
     assert len(condition_index_tuples("ii.b", 3)) == 6
     assert condition_index_tuples("iii.c", 3) == [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
     assert condition_index_tuples("iv", 4) == [(1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3)]
+
+
+# The smallest s at which each condition applies; below it the label is N/A.
+ACTIVATION = {"i": 3, "ii.a": 4, "ii.b": 4, "ii.c": 4, "iii.a": 5, "iii.b": 5, "iii.c": 5, "iv": 6}
+
+
+@pytest.mark.parametrize(
+    "level,q,s",
+    [("algebraic", 11, s) for s in range(3, 8)] + [("combinatorial", 8, s) for s in range(3, 7)],
+)
+def test_report_skeleton_follows_activation_table(level, q, s):
+    data = construct_family(q, s).data
+    if level == "algebraic":
+        report = check_algebraic(data, s)
+    else:
+        report = check_combinatorial([generate(d.flag()) for d in data], s)
+    expected = []
+    for label, first_s in ACTIVATION.items():
+        if s < first_s:
+            expected.append((label, (), True))
+        else:
+            expected.extend((label, idx, False) for idx in condition_index_tuples(label, s - 2))
+    got = [(e.label, e.indices, e.status == "N/A") for e in report.condition_entries()]
+    assert got == expected
 
 
 def test_report_serialization_format():

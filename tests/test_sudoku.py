@@ -97,15 +97,6 @@ def test_flag_from_data_rejects_each_violation_distinctly():
         flag_from_data(f, ((1, 1), (1, 1)), 1)
 
 
-def test_flag_rejects_inconsistent_datum():
-    from sudoku_ooa import Flag
-
-    f = make_field(3)
-    good = flag_from_data(f, ((2, 1), (0, 2)), 1)
-    with pytest.raises(InvalidFlagData, match="does not match"):
-        Flag(good.symbol_space, good.radix_space, ((1, 1), (0, 1)), 1)
-
-
 def test_subspace_gamma_roundtrip():
     f = make_field(5)
     flag = flag_from_data(f, ((2, 3), (1, 3)), 2)
