@@ -41,7 +41,6 @@ from .linalg import (
     det,
     intersect,
     subspace_from,
-    subspace_to_text,
     trivial_intersection,
 )
 from .ooa import (
@@ -77,20 +76,11 @@ from .sudoku import (
     Grid,
     InvalidFlagData,
     NotSudokuFlag,
-    NotSudokuSubspace,
     are_orthogonal,
-    composite,
     flag_from_data,
     flag_from_vectors,
     generate,
-    generate_from_subspace,
-    is_latin,
-    is_sudoku,
     is_sudoku_subspace,
-    large_cols_orthogonal,
-    large_rows_orthogonal,
-    radix,
-    subsquares_latin,
     subspace_gamma,
 )
 

@@ -128,34 +128,28 @@ def construct_family(q: int, s: int) -> FamilySpec:
     """Family of s-2 flag data whose sudoku array is an OOA(4,s,2,q).
 
     Uses the substrong construction for s <= 4 and a prefix of select_S for
-    larger s; raises SOutOfRange outside the guaranteed range (s = 4 with
-    q = 2 is impossible, larger s needs enough elements in S).
+    larger s; raises SOutOfRange outside 3 <= s <= max_guaranteed_s(q).
     """
     make_field(q)  # raises NotPrimePower early
     if s < 3:
         raise SOutOfRange(f"s must be at least 3, got {s}")
-    if s == 3:
-        return _truncate(substrong_family(q), 1)
-    if s == 4:
-        if q == 2:
-            raise SOutOfRange(
-                "an OOA(4,4,2,2) does not exist; the largest s for q = 2 is 3"
-            )
-        return _truncate(substrong_family(q), 2)
-    if q < 4:
-        raise SOutOfRange(f"no construction for q = {q} reaches s = {s}")
-    members = select_S(q)
-    if s - 2 > len(members):
-        raise SOutOfRange(
-            f"no construction for q = {q} reaches s = {s}; the largest is"
-            f" {len(members) + 2}"
-        )
-    return big_family(q, members[: s - 2])
+    if q == 2 and s == 4:
+        raise SOutOfRange("an OOA(4,4,2,2) does not exist; the largest s for q = 2 is 3")
+    largest = max_guaranteed_s(q)
+    if s > largest:
+        raise SOutOfRange(f"no construction for q = {q} reaches s = {s}; the largest is {largest}")
+    if s <= 4:
+        return _truncate(substrong_family(q), s - 2)
+    return big_family(q, select_S(q)[: s - 2])
 
 
 def max_guaranteed_s(q: int) -> int:
-    """Largest s the constructions guarantee: floor((q+4)/2), but 3 for q=2."""
+    """Largest s the constructions reach: 3 for q = 2, else max(4, floor((q+4)/2)).
+
+    The substrong family reaches s = 4 for every q >= 3; the big family
+    reaches len(select_S(q)) + 2 = floor((q+4)/2).
+    """
     make_field(q)
     if q == 2:
         return 3
-    return (q + 4) // 2
+    return max(4, (q + 4) // 2)

@@ -22,26 +22,37 @@ class ParseError(ValueError):
         self.line = line
 
 
+# Parse errors quote at most this many characters of a line or field.
+_QUOTE_LIMIT = 40
+
+
+def _quote(text: str) -> str:
+    """repr of the text, cut to its first _QUOTE_LIMIT characters if longer."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def _header_fields(
     line: str, kind: str, expected_keys: tuple[str, ...], minimum: dict[str, int]
 ) -> dict[str, int]:
     parts = line.split()
     if not parts or parts[0] != kind:
-        raise ParseError(1, f"expected a '{kind}' header, got {line!r}")
+        raise ParseError(1, f"expected a '{kind}' header, got {_quote(line)}")
     out = {}
     for part in parts[1:]:
         key, _, value = part.partition("=")
         if key not in expected_keys or not value:
-            raise ParseError(1, f"unexpected header field {part!r}")
+            raise ParseError(1, f"unexpected header field {_quote(part)}")
         if key in out:
-            raise ParseError(1, f"repeated header field {part!r}")
+            raise ParseError(1, f"repeated header field {_quote(part)}")
         try:
             out[key] = int(value)
         except ValueError:
             digits = value[1:] if value[0] in "+-" else value
             if digits.isdecimal():  # an integer past the int-string digit limit
                 raise ParseError(1, f"header field {key} has too many digits") from None
-            raise ParseError(1, f"non-integer header value {part!r}") from None
+            raise ParseError(1, f"non-integer header value {_quote(part)}") from None
     missing = [k for k in expected_keys if k not in out]
     if missing:
         raise ParseError(1, f"missing header fields: {', '.join(missing)}")
@@ -56,7 +67,7 @@ def _int_row(line: str, lineno: int, expected: int, bound: int | None = None) ->
     try:
         row = tuple(map(int, line.split()))
     except ValueError:
-        raise ParseError(lineno, f"non-integer entry in {line!r}") from None
+        raise ParseError(lineno, f"non-integer entry in {_quote(line)}") from None
     if len(row) != expected:
         raise ParseError(lineno, f"expected {expected} entries, got {len(row)}")
     if bound is not None and (min(row) < 0 or max(row) >= bound):
@@ -133,7 +144,7 @@ def array_from_text(text: str) -> BandedArray:
         raise ParseError(1, "empty file")
     header = _header_fields(lines[0], "ooa", ("t", "s", "l", "v"), {"s": 2, "v": 2})
     if header["t"] != 4 or header["l"] != 2:
-        raise ParseError(1, f"only t=4, l=2 arrays are supported, got {lines[0]!r}")
+        raise ParseError(1, f"only t=4, l=2 arrays are supported, got {_quote(lines[0])}")
     s, q = header["s"], header["v"]
     try:
         check_size(q, s)

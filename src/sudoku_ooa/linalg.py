@@ -215,8 +215,3 @@ def coset_index_map(sub: Subspace) -> tuple[list[Vec4], list[int]]:
 def cosets(sub: Subspace) -> list[Vec4]:
     """Lexicographically minimal representative of every coset, sorted."""
     return coset_index_map(sub)[0]
-
-
-def subspace_to_text(sub: Subspace) -> str:
-    """One basis vector per line as space-separated canonical indices."""
-    return "\n".join(" ".join(str(x) for x in row) for row in sub.basis)

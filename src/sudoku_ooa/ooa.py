@@ -192,12 +192,15 @@ class VerifyResult:
     def witness_text(self) -> str:
         if self.ok:
             return ""
-        labels = ",".join(f"({b},{d})" for b, d in sorted(self.row_set))
-        digits = "".join(str(x) for x in self.duplicate)
-        return (
-            f"rows {labels} repeat tuple {digits} at columns"
-            f" {self.first_column} and {self.second_column}"
-        )
+        where = f"columns {self.first_column} and {self.second_column}"
+        return repeat_text(self.row_set, self.duplicate, where)
+
+
+def repeat_text(rowset, duplicate, where: str) -> str:
+    """Witness ``rows <labels> repeat tuple <digits> at <where>``."""
+    labels = ",".join(f"({b},{d})" for b, d in sorted(rowset))
+    digits = "".join(str(x) for x in duplicate)
+    return f"rows {labels} repeat tuple {digits} at {where}"
 
 
 def _packed_rows(array: BandedArray) -> tuple[int, ...]:

@@ -8,8 +8,11 @@ checkers evaluate the system:
 
 * ``check_algebraic`` works on flag data alone, through 2x2/3x3 determinants
   and subspace intersections;
-* ``check_combinatorial`` works on the grids themselves, by exhaustive
-  enumeration of symbol pairs.
+* ``check_combinatorial`` works on the grids themselves: it assembles their
+  banded array and runs the exhaustive exactly-once test on the one to three
+  top-justified row sets that ``ROW_SETS`` assigns to each condition.  This
+  is the paper's correspondence: the family is strongly orthogonal exactly
+  when its array is an OOA(4,s,2,q).
 
 Both map each condition label to a function from an index tuple to a
 witness (or None), and ``_report`` turns that map into a ConditionReport keyed
@@ -25,19 +28,8 @@ from itertools import combinations, permutations
 
 from .gf import Field
 from .linalg import Subspace, det, intersect, mat_sub, subspace_from, trivial_intersection
-from .sudoku import (
-    Flag,
-    InvalidFlagData,
-    _check_shapes,
-    _repeated_pair,
-    _subsquares_latin_violation,
-    _sudoku_violation,
-    composite,
-    datum_violation,
-    flag_from_data,
-    radix,
-    subspace_gamma,
-)
+from .ooa import _first_duplicate, _packed_rows, assemble, repeat_text
+from .sudoku import Flag, InvalidFlagData, datum_violation, flag_from_data, subspace_gamma
 
 
 class HypothesisViolated(ValueError):
@@ -356,43 +348,80 @@ def check_algebraic(data, s: int) -> ConditionReport:
 
 # -- combinatorial checker ----------------------------------------------------
 
+# Rows of the assembled array as (band, depth) labels: X1..X4 carry the
+# location digits (x1, x2, x3, x4), _R(t) is member t's radix row and _M(t)
+# both rows of its band.
+X1, X2, X3, X4 = (1, 1), (1, 2), (2, 1), (2, 2)
+
+
+def _R(t: int) -> tuple[int, int]:
+    return (t + 2, 1)
+
+
+def _M(t: int) -> tuple[tuple[int, int], ...]:
+    return (t + 2, 1), (t + 2, 2)
+
+
+# Label -> function from an index tuple to the top-justified row sets whose
+# exactly-once tests make up the condition, in scan order.  "sudoku" (member
+# t is a sudoku solution) and "orth" are the preconditions.  The README's
+# "Condition system" table gives each set's form.
+ROW_SETS = {
+    "sudoku": lambda t: [{X1, X2, *_M(t)}, {X3, X4, *_M(t)}, {X1, X3, *_M(t)}],
+    "orth": lambda i, j: [{*_M(i), *_M(j)}],
+    "i": lambda t: [{X1, X2, X3, _R(t)}, {X1, X3, X4, _R(t)}],
+    "ii.a": lambda i, j: [{x, y, _R(i), _R(j)} for x, y in ((X1, X2), (X3, X4), (X1, X3))],
+    "ii.b": lambda i, j: [{X1, _R(i), *_M(j)}],
+    "ii.c": lambda i, j: [{X3, _R(i), *_M(j)}],
+    "iii.a": lambda i, j, k: [{X1, _R(i), _R(j), _R(k)}],
+    "iii.b": lambda i, j, k: [{X3, _R(i), _R(j), _R(k)}],
+    "iii.c": lambda i, j, k: [{_R(i), _R(j), *_M(k)}],
+    "iv": lambda i, j, k, l: [{_R(i), _R(j), _R(k), _R(l)}],
+}
+
 
 def check_combinatorial(grids, s: int) -> ConditionReport:
     """Evaluate the condition system on grids by exhaustive enumeration.
 
-    The grids must be mutually orthogonal sudoku solutions; that precondition
-    is verified first and its verdicts appear under the label ``orth``.
+    Each condition is the exactly-once test of its ``ROW_SETS`` on the grids'
+    assembled array, scanned on packed rows as ``verify`` scans them; a set
+    that several entries name is scanned once.  A failing set's witness names
+    its first repeated tuple and the grid cells (m // q^2, m % q^2) of the
+    two columns m that carry it.  The grids must be mutually orthogonal
+    sudoku solutions; that precondition is verified first and its verdicts
+    appear under the label ``orth``.
     """
     grids = list(grids)
     n = len(grids)
     _validate_family_size(n, s)
-    for other in grids[1:]:
-        _check_shapes(grids[0], other)
+    array = assemble(grids)
+    packed = _packed_rows(array)
+    side = array.q**2
+    witnesses: dict[frozenset, str | None] = {}
 
-    for t, grid in enumerate(grids, start=1):
-        why = _sudoku_violation(grid)
+    def violation(rowset) -> str | None:
+        key = frozenset(rowset)
+        if key not in witnesses:
+            hit = _first_duplicate(array, packed, key)
+            if hit is not None:
+                dup, first, second = hit
+                where = f"cells {divmod(first, side)} and {divmod(second, side)}"
+                hit = repeat_text(key, dup, where)
+            witnesses[key] = hit
+        return witnesses[key]
+
+    def check(label):
+        return lambda *idx: next(filter(None, map(violation, ROW_SETS[label](*idx))), None)
+
+    for t in range(1, n + 1):
+        why = check("sudoku")(t)
         if why is not None:
             raise NotMutuallyOrthogonal(f"member {t} is not a sudoku solution: {why}")
     orth_entries = []
     for i, j in combinations(range(1, n + 1), 2):
-        why = _repeated_pair(grids[i - 1], grids[j - 1])
+        why = check("orth")(i, j)
         if why is not None:
             raise NotMutuallyOrthogonal(f"members {i} and {j}: {why}")
         orth_entries.append(ConditionResult("orth", (i, j), "PASS"))
 
-    radixes = [radix(g) for g in grids]
-    composites = {
-        (i, j): composite(radixes[i - 1], radixes[j - 1])
-        for i, j in combinations(range(1, n + 1), 2)
-    }
-
-    return _report(s, orth_entries, {
-        "i": lambda t: _subsquares_latin_violation(radixes[t - 1]),
-        "ii.a": lambda i, j: _sudoku_violation(composites[(i, j)]),
-        "ii.b": lambda i, j: _repeated_pair(radixes[i - 1], grids[j - 1], "row"),
-        "ii.c": lambda i, j: _repeated_pair(radixes[i - 1], grids[j - 1], "column"),
-        "iii.a": lambda i, j, k: _repeated_pair(composites[(i, j)], radixes[k - 1], "row"),
-        "iii.b": lambda i, j, k: _repeated_pair(composites[(i, j)], radixes[k - 1], "column"),
-        "iii.c": lambda i, j, k: _repeated_pair(composites[(i, j)], grids[k - 1]),
-        "iv": lambda i, j, k, l: _repeated_pair(composites[(i, j)], composites[(k, l)]),
-    })
+    return _report(s, orth_entries, {label: check(label) for label in CONDITION_LABELS})

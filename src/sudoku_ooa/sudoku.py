@@ -39,10 +39,6 @@ class NotSudokuFlag(ValueError):
     """The flag's 2-dimensional space does not generate a sudoku solution."""
 
 
-class NotSudokuSubspace(ValueError):
-    """The subspace does not generate a sudoku solution."""
-
-
 class InvalidFlagData(ValueError):
     """A flag datum violates b != 0, beta != 0, or det != 0."""
 
@@ -144,12 +140,6 @@ def is_sudoku_subspace(g: Subspace) -> bool:
     return all(trivial_intersection(g, w) for w in _blocking_spaces(g.field))
 
 
-def _grid_from_symbol_map(q: int, symbol_at: list[int]) -> Grid:
-    # The packed location ((x1*q + x2)*q + x3)*q + x4 is row*q^2 + column.
-    side = q * q
-    return Grid(q, tuple(tuple(symbol_at[r : r + side]) for r in range(0, side * side, side)))
-
-
 def generate(flag: Flag) -> Grid:
     """Grid of the flag's linear sudoku solution under canonical labeling.
 
@@ -170,44 +160,13 @@ def generate(flag: Flag) -> Grid:
     for radix_digit, sids in enumerate(groups):
         for units, sid in enumerate(sids):
             symbol_of[sid] = q * radix_digit + units
-    return _grid_from_symbol_map(q, [symbol_of[sid] for sid in sym_ids])
+    # The packed location ((x1*q + x2)*q + x3)*q + x4 is row*q^2 + column.
+    symbol_at = [symbol_of[sid] for sid in sym_ids]
+    side = q * q
+    return Grid(q, tuple(tuple(symbol_at[r : r + side]) for r in range(0, side * side, side)))
 
 
-def generate_from_subspace(g: Subspace) -> Grid:
-    """Linear sudoku solution whose symbols are the cosets of g.
-
-    Cosets labeled 0..q^2-1 by increasing minimal representative.
-    """
-    if not is_sudoku_subspace(g):
-        raise NotSudokuSubspace("subspace fails a row, column, or subsquare check")
-    return _grid_from_symbol_map(g.field.q, coset_index_map(g)[1])
-
-
-def radix(grid: Grid) -> Grid:
-    """Cellwise first base-q digit."""
-    q = grid.q
-    return Grid(q, tuple(tuple(s // q for s in row) for row in grid.rows))
-
-
-def composite(ri: Grid, rj: Grid) -> Grid:
-    """Superimpose two radix-alphabet grids; the first supplies the radix digit."""
-    _check_shapes(ri, rj)
-    q = ri.q
-    return Grid(
-        q,
-        tuple(
-            tuple(q * a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(ri.rows, rj.rows)
-        ),
-    )
-
-
-def _check_shapes(a: Grid, b: Grid) -> None:
-    if a.q != b.q or a.side != b.side:
-        raise DimensionMismatch(f"grid shapes differ: q={a.q} vs q={b.q}")
-
-
-# -- exactly-once scanning: witness-reporting cores of the predicates ---------
+# -- exactly-once scanning ------------------------------------------------------
 
 
 def first_repeat(keys) -> tuple[int, int] | None:
@@ -225,102 +184,9 @@ def first_repeat(keys) -> tuple[int, int] | None:
             return first, m
 
 
-def _first_non_permutation(lines, n: int) -> int | None:
-    """Index of the first line whose symbol set is not exactly 0..n-1."""
-    full = set(range(n))
-    return next((i for i, line in enumerate(lines) if set(line) != full), None)
-
-
-def _latin_violation(grid: Grid) -> str | None:
-    side = grid.side
-    for what, lines in (("row", grid.rows), ("column", zip(*grid.rows))):
-        i = _first_non_permutation(lines, side)
-        if i is not None:
-            return f"{what} {i} is not a permutation of 0..{side - 1}"
-    return None
-
-
-def _sudoku_violation(grid: Grid) -> str | None:
-    why = _latin_violation(grid)
-    if why is not None:
-        return why
-    q = grid.q
-    boxes = (
-        chain.from_iterable(
-            row[q * bj : q * bj + q] for row in grid.rows[q * bi : q * bi + q]
-        )
-        for bi in range(q)
-        for bj in range(q)
-    )
-    i = _first_non_permutation(boxes, grid.side)
-    if i is not None:
-        return f"subsquare ({i // q},{i % q}) misses a symbol"
-    return None
-
-
-def _subsquares_latin_violation(grid: Grid) -> str | None:
-    q = grid.q
-    for bi in range(q):
-        for bj in range(q):
-            box = [row[q * bj : q * bj + q] for row in grid.rows[q * bi : q * bi + q]]
-            i = _first_non_permutation(box + list(zip(*box)), q)
-            if i is not None:
-                what = "row" if i < q else "column"
-                return f"subsquare ({bi},{bj}) {what} {i % q} is not a permutation"
-    return None
-
-
-def _repeated_pair(a: Grid, b: Grid, block: str = "grid") -> str | None:
-    """Witness of the first superimposed pair seen twice within one block.
-
-    A block is the whole grid (``grid``), a large row of q rows (``row``), or
-    a large column (``column``), scanned as a large row of the transposed
-    grids.  Cells are read row by row within a block, and reported as (r, c).
-    """
-    _check_shapes(a, b)
-    side = a.side
-    height = side if block == "grid" else a.q
-    rows_a, rows_b = a.rows, b.rows
-    if block == "column":
-        rows_a, rows_b = tuple(zip(*rows_a)), tuple(zip(*rows_b))
-    for top in range(0, side, height):
-        block_rows = rows_a[top : top + height], rows_b[top : top + height]
-        pairs = list(chain.from_iterable(map(zip, *block_rows)))
-        hit = first_repeat(pairs)
-        if hit is not None:
-            cells = [(top + m // side, m % side) for m in hit]
-            if block == "column":
-                cells = [(r, c) for c, r in cells]
-            where = "" if block == "grid" else f"large {block} {top // height}: "
-            return f"{where}pair {pairs[hit[1]]} at cells {cells[0]} and {cells[1]}"
-    return None
-
-
-def is_latin(grid: Grid) -> bool:
-    """Every row and column is a permutation of the side-length symbol set."""
-    return _latin_violation(grid) is None
-
-
-def is_sudoku(grid: Grid) -> bool:
-    """Latin, and every canonical q x q subsquare holds every symbol."""
-    return _sudoku_violation(grid) is None
-
-
-def subsquares_latin(grid: Grid) -> bool:
-    """Every canonical subsquare of a radix-alphabet grid is a latin square."""
-    return _subsquares_latin_violation(grid) is None
-
-
 def are_orthogonal(a: Grid, b: Grid) -> bool:
     """Superimposed ordered symbol pairs are all distinct."""
-    return _repeated_pair(a, b) is None
-
-
-def large_rows_orthogonal(a: Grid, b: Grid) -> bool:
-    """No repeated superimposed pair within any large row."""
-    return _repeated_pair(a, b, "row") is None
-
-
-def large_cols_orthogonal(a: Grid, b: Grid) -> bool:
-    """No repeated superimposed pair within any large column."""
-    return _repeated_pair(a, b, "column") is None
+    if a.q != b.q:
+        raise DimensionMismatch(f"grid shapes differ: q={a.q} vs q={b.q}")
+    cells = chain.from_iterable
+    return first_repeat(list(zip(cells(a.rows), cells(b.rows)))) is None

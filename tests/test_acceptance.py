@@ -14,6 +14,7 @@ import time
 import pytest
 
 import fixtures as fx
+import grid_oracle
 from sudoku_ooa import (
     BandedArray,
     FlagData,
@@ -75,7 +76,7 @@ def test_criterion_1_construction_sweep():
             assert result.ok, f"q={q} s={s}: {result.witness_text()}"
             cases += 1
     elapsed = time.perf_counter() - t0
-    assert cases == 17
+    assert cases == 18
     assert elapsed < 5.0, f"sweep took {elapsed:.2f}s"
 
 
@@ -119,12 +120,20 @@ def test_criterion_3_pair3_reproduction():
     assert prefix == fx.PAIR3_PREFIX
 
 
-def _triangle_case(data, s):
-    """Checker-vs-checker-vs-array agreement for one family.
+def _statuses(report):
+    return [(e.label, e.indices, e.status) for e in report.entries]
 
-    Returns ("compared", passed) when both checkers ran, or ("rejected", False)
-    when the family is not mutually orthogonal, in which case both checkers
-    must raise and the array must fail.
+
+def _triangle_case(data, s):
+    """Agreement of the three oracles, and the grid oracle, on one family.
+
+    The algebraic checker, the combinatorial checker and the exhaustive
+    array check form the triangle; the grid-level reference oracle, which
+    reads each condition off radix and composite grids, is the fourth vertex
+    and keeps the combinatorial checker independent of ``verify``'s scanner.
+    Returns ("compared", passed) when the checkers ran, or ("rejected",
+    False) when the family is not mutually orthogonal, in which case every
+    checker must raise and the array must fail.
     """
     grids = [generate(d.flag()) for d in data]
     array_ok = verify(assemble(grids), "ooa").ok
@@ -133,12 +142,15 @@ def _triangle_case(data, s):
     except NotMutuallyOrthogonal:
         with pytest.raises(NotMutuallyOrthogonal):
             check_combinatorial(grids, s)
+        with pytest.raises(NotMutuallyOrthogonal):
+            grid_oracle.condition_report(grids, s)
         assert not array_ok
         return "rejected", False
     comb = check_combinatorial(grids, s)
-    assert [(e.label, e.indices, e.status) for e in alg.entries] == [
-        (e.label, e.indices, e.status) for e in comb.entries
-    ], "checker disagreement"
+    assert _statuses(alg) == _statuses(comb), "checker disagreement"
+    assert _statuses(grid_oracle.condition_report(grids, s)) == _statuses(comb), (
+        "grid oracle disagreement"
+    )
     assert alg.passed == array_ok
     return "compared", alg.passed
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 import fixtures as fx
-from sudoku_ooa import BandedArray, array_from_text, array_to_text, grid_from_text, is_sudoku, verify
+from grid_oracle import is_sudoku
+from sudoku_ooa import BandedArray, array_from_text, array_to_text, grid_from_text, verify
 from sudoku_ooa.cli import main
 
 
@@ -153,6 +154,32 @@ _BUDGET = "a 2s x q^4 array is limited to 16777216 entries"
             "repeated header field 's=4'",
             id="verify-repeated-s",
         ),
+        # Long lines and fields are quoted by their first 40 characters.
+        pytest.param(
+            "check-family",
+            "ooa t=4 s=3 l=2 v=" + "1" * 5000,
+            "expected a 'flags' header, got 'ooa t=4 s=3 l=2 v=" + "1" * 22
+            + "'... (5018 characters)",
+            id="flags-long-wrong-kind",
+        ),
+        pytest.param(
+            "check-family",
+            "flags q=3 count=1 x" + "1" * 5000 + "=1",
+            "unexpected header field 'x" + "1" * 39 + "'... (5003 characters)",
+            id="flags-long-unexpected-field",
+        ),
+        pytest.param(
+            "verify",
+            "ooa t=4 s=3 l=2 v=" + "x" * 5000,
+            "non-integer header value 'v=" + "x" * 38 + "'... (5002 characters)",
+            id="verify-long-non-integer-v",
+        ),
+        pytest.param(
+            "check-family",
+            "flags q=3 count=1 q=" + "5" * 5000,
+            "repeated header field 'q=" + "5" * 38 + "'... (5002 characters)",
+            id="flags-long-repeated-q",
+        ),
     ],
 )
 def test_bad_header_is_a_parse_error(tmp_path, capsys, command, header, message):
@@ -162,6 +189,15 @@ def test_bad_header_is_a_parse_error(tmp_path, capsys, command, header, message)
     assert code == 2
     assert stdout == ""
     assert stderr == f"error: line 1: {message}\n"
+
+
+def test_long_non_integer_line_is_quoted_by_its_start(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    line = "0 " * 40 + "x" + " 0" * 40
+    bad.write_text("ooa t=4 s=3 l=2 v=3\n" + (line + "\n") * 6)
+    code, stdout, stderr = run(capsys, "verify", str(bad))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: line 2: non-integer entry in {line[:40]!r}... (161 characters)\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "check-family"])
@@ -259,7 +295,7 @@ def test_gen_sudoku_bad_flag(capsys):
 
 
 @pytest.mark.parametrize(
-    "q,expected_max", [(2, 3), (3, 3), (9, 6)]
+    "q,expected_max", [(2, 3), (3, 4), (9, 6)]
 )
 def test_info(capsys, q, expected_max):
     code, stdout, _ = run(capsys, "info", "--q", str(q))

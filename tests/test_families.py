@@ -155,9 +155,19 @@ def test_truncation_is_canonical_prefix():
 
 def test_max_guaranteed_s():
     assert max_guaranteed_s(2) == 3
-    assert max_guaranteed_s(3) == 3
+    assert max_guaranteed_s(3) == 4
     assert max_guaranteed_s(4) == 4
     assert max_guaranteed_s(5) == 4
     assert max_guaranteed_s(7) == 5
     assert max_guaranteed_s(8) == 6
     assert max_guaranteed_s(9) == 6
+
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_construct_family_reaches_exactly_max_guaranteed_s(q):
+    top = max_guaranteed_s(q)
+    assert construct_family(q, top).s == top
+    message = r"OOA\(4,4,2,2\) does not exist" if q == 2 else f"; the largest is {top}$"
+    with pytest.raises(SOutOfRange, match=message):
+        construct_family(q, top + 1)

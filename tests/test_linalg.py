@@ -13,7 +13,6 @@ from sudoku_ooa import (
     intersect,
     make_field,
     subspace_from,
-    subspace_to_text,
     trivial_intersection,
 )
 from sudoku_ooa.linalg import (
@@ -176,10 +175,3 @@ def test_pack_unpack_roundtrip():
         for m in range(q**4):
             assert pack(q, unpack(q, m)) == m
 
-
-def test_subspace_to_text():
-    f = make_field(3)
-    sub = subspace_from(f, [(1, 0, 0, 2), (0, 2, 1, 2)])
-    text = subspace_to_text(sub)
-    rows = [tuple(int(x) for x in line.split()) for line in text.splitlines()]
-    assert subspace_from(f, rows) == sub

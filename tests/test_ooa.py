@@ -141,7 +141,8 @@ def test_verify_ooa_implies_sa():
 def test_sa_equivalence_with_orthogonal_sudoku_grids(q):
     # Assembled arrays pass the sa check exactly when the grids are pairwise
     # orthogonal sudoku solutions; corrupting a grid breaks it.
-    from sudoku_ooa import are_orthogonal, construct_family, is_sudoku
+    from grid_oracle import is_sudoku
+    from sudoku_ooa import are_orthogonal, construct_family
 
     fam = construct_family(q, 3 if q == 2 else 4)
     grids = [generate(d.flag()) for d in fam.data]

@@ -1,9 +1,11 @@
-"""The exactly-once scanner against a plain dict-based reference scan.
+"""The exactly-once scanners against a plain dict-based reference scan.
 
 The reference is the straightforward loop: walk the cells of a block in
 order, remember where each key was first seen, and stop at the first key
 seen twice.  Witnesses must agree string for string on seeded single-cell
 corruptions, so the order of the scan is pinned as well as the verdict.
+The subjects are the packed row-set scanner of ``sudoku_ooa.ooa`` and the
+pair scanner of the grid oracle (``grid_oracle``).
 """
 
 from __future__ import annotations
@@ -13,24 +15,21 @@ import random
 import pytest
 
 import fixtures as fx
+from grid_oracle import composite, large_cols_orthogonal, large_rows_orthogonal, radix, repeated_pair
 from sudoku_ooa import (
     BandedArray,
     Grid,
     VerifyResult,
     are_orthogonal,
     assemble,
-    composite,
     construct_family,
     generate,
-    large_cols_orthogonal,
-    large_rows_orthogonal,
-    radix,
     row_set_duplicate,
     top_justified_sets,
     verify,
 )
 from sudoku_ooa.ooa import _slot
-from sudoku_ooa.sudoku import _repeated_pair, first_repeat
+from sudoku_ooa.sudoku import first_repeat
 
 ORDERS = (3, 4, 5)
 
@@ -131,7 +130,7 @@ def test_pair_witnesses_match_reference(q):
             ("column", large_cols_orthogonal),
         ):
             want = ref_pair_witness(a, b, block)
-            assert _repeated_pair(a, b, block) == want
+            assert repeated_pair(a, b, block) == want
             assert predicate(a, b) is (want is None)
             witnesses += want is not None
     assert witnesses >= 12

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -12,8 +13,10 @@ from sudoku_ooa import (
     FlagData,
     HypothesisViolated,
     NotMutuallyOrthogonal,
+    assemble,
     check_algebraic,
     check_combinatorial,
+    classify,
     condition_index_tuples,
     construct_family,
     det,
@@ -24,7 +27,9 @@ from sudoku_ooa import (
     make_field,
     subspace_gamma,
     substrong_family,
+    top_justified_sets,
 )
+from sudoku_ooa.strong import CONDITION_LABELS, ROW_SETS
 
 
 def pair3_data():
@@ -184,6 +189,73 @@ def test_check_combinatorial_rejects_non_sudoku():
 def test_check_combinatorial_rejects_non_orthogonal_pair():
     with pytest.raises(NotMutuallyOrthogonal, match="1 and 2"):
         check_combinatorial([fx.PAIR3_M1, fx.PAIR3_M1], 4)
+
+
+@pytest.mark.parametrize("bad", [-1, 9, 81])
+def test_check_combinatorial_refuses_symbol_outside_alphabet(bad):
+    rows = [list(r) for r in fx.PAIR3_M1.rows]
+    rows[4][7] = bad
+    with pytest.raises(ValueError):
+        check_combinatorial([fx.grid(3, rows), fx.PAIR3_M2], 4)
+
+
+_WITNESS = re.compile(
+    r"rows ((?:\(\d+,\d\),?){4}) repeat tuple (\d{4}) at cells"
+    r" \((\d+), (\d+)\) and \((\d+), (\d+)\)"
+)
+
+
+def test_combinatorial_witness_names_a_repeat_of_the_condition_row_sets():
+    grids = [fx.SA42_M1, fx.SA42_M2]
+    array = assemble(grids)
+    fails = [e for e in check_combinatorial(grids, 4).entries if e.status == "FAIL"]
+    assert {e.label for e in fails} >= {"i"}
+    for e in fails:
+        match = _WITNESS.fullmatch(e.witness)
+        assert match, e.witness
+        labels = [tuple(map(int, lab.split(","))) for lab in re.findall(r"\((\d+,\d)\)", match[1])]
+        assert set(labels) in ROW_SETS[e.label](*e.indices)
+        r1, c1, r2, c2 = map(int, match.groups()[2:])
+        assert (r1, c1) < (r2, c2)
+        for r, c in ((r1, c1), (r2, c2)):
+            column = r * array.q**2 + c
+            assert "".join(str(array.row(b, d)[column]) for b, d in labels) == match[2]
+
+
+# The paper's form (ooa.classify) of each set a ROW_SETS entry lists, in order.
+ROW_SET_FORMS = {
+    "sudoku": ("sudoku-TJ",) * 3,
+    "orth": ("sudoku-TJ",),
+    "i": ("1b", "1a"),
+    "ii.a": ("2b", "2c", "2a"),
+    "ii.b": ("2e",),
+    "ii.c": ("2d",),
+    "iii.a": ("3a",),
+    "iii.b": ("3b",),
+    "iii.c": ("3c",),
+    "iv": ("4a",),
+}
+
+
+@pytest.mark.parametrize("s", range(3, 9))
+def test_row_sets_are_the_top_justified_sets_of_the_array(s):
+    # Strong orthogonality <=> OOA: the conditions' row sets, preconditions
+    # included, are every top-justified set except the four location rows.
+    n = s - 2
+    index_tuples = {
+        "sudoku": [(t,) for t in range(1, n + 1)],
+        "orth": list(itertools.combinations(range(1, n + 1), 2)),
+    }
+    index_tuples.update((label, condition_index_tuples(label, n)) for label in CONDITION_LABELS)
+    assert set(index_tuples) == set(ROW_SETS) == set(ROW_SET_FORMS)
+    union = set()
+    for label, tuples in index_tuples.items():
+        for idx in tuples:
+            sets = [frozenset(rs) for rs in ROW_SETS[label](*idx)]
+            assert tuple(classify(rs) for rs in sets) == ROW_SET_FORMS[label], (label, idx)
+            union.update(sets)
+    locations = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
+    assert union == set(top_justified_sets(s)) - {locations}
 
 
 def test_check_combinatorial_rejects_shape_mismatch():

@@ -1,4 +1,4 @@
-"""Grid generation from flags and the combinatorial predicates."""
+"""Grid generation from flags, and the grid oracle's predicates."""
 
 from __future__ import annotations
 
@@ -8,28 +8,28 @@ import random
 import pytest
 
 import fixtures as fx
+from grid_oracle import (
+    composite,
+    is_latin,
+    is_sudoku,
+    large_cols_orthogonal,
+    large_rows_orthogonal,
+    radix,
+    subsquares_latin,
+)
 from sudoku_ooa import (
     DimensionError,
     DimensionMismatch,
     InvalidFlagData,
     NotSudokuFlag,
-    NotSudokuSubspace,
     are_orthogonal,
-    composite,
     flag_from_data,
     flag_from_vectors,
     generate,
-    generate_from_subspace,
     intersect,
-    is_latin,
-    is_sudoku,
     is_sudoku_subspace,
-    large_cols_orthogonal,
-    large_rows_orthogonal,
     make_field,
-    radix,
     subspace_from,
-    subsquares_latin,
     subspace_gamma,
 )
 from sudoku_ooa.linalg import span_elements
@@ -128,34 +128,6 @@ def test_generate_rejects_non_sudoku_flag():
     flag = flag_from_vectors(f, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     with pytest.raises(NotSudokuFlag):
         generate(flag)
-
-
-def test_generate_from_subspace_matches_fixture_up_to_labels():
-    f = make_field(3)
-    g = subspace_from(f, fx.LINEAR9_GENERATORS)
-    got = generate_from_subspace(g)
-    assert is_sudoku(got)
-    mapping = fx.symbol_bijection(got, fx.LINEAR9_GRID)
-    assert mapping is not None
-    # Locations (0,1,2,2) and (1,1,2,1) differ by (1,0,0,2), a generator, so
-    # they lie in one coset and the fixture gives them one symbol.
-    assert fx.LINEAR9_GRID.cell(1, 8) == fx.LINEAR9_GRID.cell(4, 7) == 1
-    assert got.cell(1, 8) == got.cell(4, 7)
-    # (1,0,2,2) sits in a different coset, hence a different symbol.
-    assert got.cell(3, 8) != got.cell(1, 8)
-
-
-def test_generate_from_subspace_rejects():
-    f = make_field(3)
-    with pytest.raises(NotSudokuSubspace):
-        generate_from_subspace(subspace_from(f, [(1, 0, 0, 0), (0, 1, 0, 0)]))
-
-
-def test_generate_from_subspace_gf2():
-    f = make_field(2)
-    g = subspace_from(f, [(1, 0, 0, 1), (0, 1, 1, 1)])
-    assert is_sudoku_subspace(g)
-    assert is_sudoku(generate_from_subspace(g))
 
 
 def test_radix_examples():
