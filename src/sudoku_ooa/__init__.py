@@ -37,7 +37,6 @@ from .gf import (
 from .linalg import (
     SizeUnsupported,
     Subspace,
-    cosets,
     det,
     intersect,
     subspace_from,

@@ -58,7 +58,10 @@ def _header_fields(
         raise ParseError(1, f"missing header fields: {', '.join(missing)}")
     for key, low in minimum.items():
         if out[key] < low:
-            raise ParseError(1, f"header field {key} must be at least {low}, got {out[key]}")
+            got = str(out[key])
+            if len(got) > _QUOTE_LIMIT:
+                got = _quote(got)
+            raise ParseError(1, f"header field {key} must be at least {low}, got {got}")
     return out
 
 

@@ -2,7 +2,9 @@
 
 Vectors are 4-tuples of canonical field indices and matrices are nested
 lists/tuples of them.  Subspaces carry a reduced-row-echelon basis, so two
-subspaces are equal exactly when their Subspace values are equal.
+subspaces are equal exactly when their Subspace values are equal.  Beyond
+their bases, subspaces are handled only through their annihilators (the
+nullspace functionals): no subspace is enumerated element by element.
 """
 
 from __future__ import annotations
@@ -17,16 +19,6 @@ Vec4 = tuple[int, int, int, int]
 
 class SizeUnsupported(ValueError):
     """Determinants are implemented for 2x2 and 3x3 matrices only."""
-
-
-def vec_add(field: Field, u, v) -> Vec4:
-    add = field.add
-    return (add(u[0], v[0]), add(u[1], v[1]), add(u[2], v[2]), add(u[3], v[3]))
-
-
-def vec_scale(field: Field, c: int, v) -> Vec4:
-    mul = field.mul
-    return (mul(c, v[0]), mul(c, v[1]), mul(c, v[2]), mul(c, v[3]))
 
 
 def mat_sub(field: Field, a, b):
@@ -112,64 +104,24 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v) -> bool:
-        sub, mul = self.field.sub, self.field.mul
-        w = list(v)
-        for b in self.basis:
-            f = w[_pivot(b)]
-            if f:
-                w = [sub(x, mul(f, y)) for x, y in zip(w, b)]
-        return not any(w)
-
 
 def subspace_from(field: Field, vectors) -> Subspace:
     return Subspace(field, rref(field, vectors))
 
 
-def span_elements(sub: Subspace) -> list[Vec4]:
-    """All q**dim vectors of the subspace."""
-    field = sub.field
-    vecs: list[Vec4] = [(0, 0, 0, 0)]
-    for b in sub.basis:
-        scaled = [vec_scale(field, c, b) for c in range(field.q)]
-        vecs = [vec_add(field, v, s) for v in vecs for s in scaled]
-    return vecs
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return subspace_from(a.field, a.basis + b.basis)
-
-
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, via the nullspace of the stacked coefficient system."""
+    """Intersection: the common zero set of both subspaces' annihilators."""
     field = a.field
     if field != b.field:
         raise ValueError("subspaces lie over different fields")
-    if a.dim == 0 or b.dim == 0:
-        return subspace_from(field, [])
-    # Columns are a's basis followed by b's negated basis; nullspace vectors
-    # give coefficient pairs (x, y) with x*A = y*B.
-    stacked = [
-        tuple(col[i] for col in a.basis) + tuple(field.neg(col[i]) for col in b.basis)
-        for i in range(4)
-    ]
-    vecs = []
-    for z in nullspace(field, stacked, a.dim + b.dim):
-        w: Vec4 = (0, 0, 0, 0)
-        for coef, bas in zip(z[: a.dim], a.basis):
-            w = vec_add(field, w, vec_scale(field, coef, bas))
-        vecs.append(w)
-    return subspace_from(field, vecs)
+    annihilators = nullspace(field, a.basis, 4) + nullspace(field, b.basis, 4)
+    return subspace_from(field, nullspace(field, annihilators, 4))
 
 
 def trivial_intersection(a: Subspace, b: Subspace) -> bool:
     if a.field != b.field:
         raise ValueError("subspaces lie over different fields")
     return rank(a.field, a.basis + b.basis) == a.dim + b.dim
-
-
-def pack(q: int, v) -> int:
-    return ((v[0] * q + v[1]) * q + v[2]) * q + v[3]
 
 
 def unpack(q: int, m: int) -> Vec4:
@@ -210,8 +162,3 @@ def coset_index_map(sub: Subspace) -> tuple[list[Vec4], list[int]]:
     reps = sorted(first.values())
     ids_of = {labels[m]: cid for cid, m in enumerate(reps)}
     return [unpack(q, m) for m in reps], [ids_of[label] for label in labels]
-
-
-def cosets(sub: Subspace) -> list[Vec4]:
-    """Lexicographically minimal representative of every coset, sorted."""
-    return coset_index_map(sub)[0]

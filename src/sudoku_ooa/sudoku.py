@@ -13,14 +13,14 @@ carry the radix digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 
 from .gf import Field
 from .linalg import (
     Subspace,
     coset_index_map,
-    pack,
+    nullspace,
     rank,
     subspace_from,
     trivial_intersection,
@@ -145,21 +145,25 @@ def generate(flag: Flag) -> Grid:
 
     Radix-space cosets sorted by minimal representative get radix digits
     0..q-1; within each, its q symbol-space cosets sorted the same way get
-    units digits 0..q-1.
+    units digits 0..q-1.  A radix coset's minimal point is that of its first
+    symbol coset, so radix digits number the values of the radix space's
+    annihilator phi in order of first appearance at the sorted symbol
+    representatives.
     """
     if not is_sudoku_subspace(flag.symbol_space):
         raise NotSudokuFlag("symbol space does not generate a sudoku solution")
     field = flag.field
     q = field.q
-    _, radix_ids = coset_index_map(flag.radix_space)
+    (phi,) = nullspace(field, flag.radix_space.basis, 4)
     sym_reps, sym_ids = coset_index_map(flag.symbol_space)
-    groups: list[list[int]] = [[] for _ in range(q)]
-    for sid, rep in enumerate(sym_reps):
-        groups[radix_ids[pack(q, rep)]].append(sid)
-    symbol_of = [0] * (q * q)
-    for radix_digit, sids in enumerate(groups):
-        for units, sid in enumerate(sids):
-            symbol_of[sid] = q * radix_digit + units
+    radix_of: dict[int, int] = {}
+    units_used = [0] * q
+    symbol_of = []
+    for rep in sym_reps:
+        phi_value = reduce(field.add, map(field.mul, phi, rep))
+        radix_digit = radix_of.setdefault(phi_value, len(radix_of))
+        symbol_of.append(q * radix_digit + units_used[radix_digit])
+        units_used[radix_digit] += 1
     # The packed location ((x1*q + x2)*q + x3)*q + x4 is row*q^2 + column.
     symbol_at = [symbol_of[sid] for sid in sym_ids]
     side = q * q

@@ -162,7 +162,7 @@ def test_criterion_4_oracle_triangle():
             fam = construct_family(q, s)
             outcome, passed = _triangle_case(list(fam.data), s)
             assert outcome == "compared" and passed
-    for q in (3, 4, 5, 7):
+    for q in (3, 4, 5, 7, 8, 9):
         f = make_field(q)
         rng = random.Random(4242 * q)
         compared = 0

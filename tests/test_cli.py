@@ -180,6 +180,12 @@ _BUDGET = "a 2s x q^4 array is limited to 16777216 entries"
             "repeated header field 'q=" + "5" * 38 + "'... (5002 characters)",
             id="flags-long-repeated-q",
         ),
+        pytest.param(
+            "verify",
+            "ooa t=4 s=-" + "1" * 4000 + " l=2 v=3",
+            "header field s must be at least 2, got '-" + "1" * 39 + "'... (4001 characters)",
+            id="verify-long-negative-s",
+        ),
     ],
 )
 def test_bad_header_is_a_parse_error(tmp_path, capsys, command, header, message):

@@ -17,6 +17,7 @@ from grid_oracle import (
     radix,
     subsquares_latin,
 )
+from linalg_oracle import contains, span_elements, vec_add
 from sudoku_ooa import (
     DimensionError,
     DimensionMismatch,
@@ -32,7 +33,6 @@ from sudoku_ooa import (
     subspace_from,
     subspace_gamma,
 )
-from sudoku_ooa.linalg import span_elements
 
 
 def axis_spaces(field):
@@ -268,7 +268,7 @@ def exhaustive_flags(q):
             continue
         seen_v = {}
         for v3 in vecs:
-            if g.contains(v3):
+            if contains(g, v3):
                 continue
             vspace = subspace_from(f, list(g.basis) + [v3])
             seen_v[vspace.basis] = vspace
@@ -298,3 +298,52 @@ def test_flag_form_characterization_exhaustive(q):
         assert holds == (key in canonical)
         checked += 1
     assert checked > len(canonical) / 2  # the enumeration covered real ground
+
+
+def brute_force_labeling(flag):
+    """``generate``'s labeling read off the cosets' elements.
+
+    Radix digits number the radix-space cosets by their minimal points; within
+    a radix coset, units digits number its symbol-space cosets the same way.
+    """
+    f = flag.field
+    q = f.q
+    points = list(itertools.product(range(q), repeat=4))  # minimal first
+    radix_members = span_elements(flag.radix_space)
+    sym_members = span_elements(flag.symbol_space)
+    radix_at: dict = {}
+    radix_count = 0
+    for p in points:
+        if p not in radix_at:
+            radix_at.update((vec_add(f, p, w), radix_count) for w in radix_members)
+            radix_count += 1
+    symbol_at: dict = {}
+    units_used = [0] * q
+    for p in points:
+        if p not in symbol_at:
+            digit = radix_at[p]
+            symbol = q * digit + units_used[digit]
+            units_used[digit] += 1
+            symbol_at.update((vec_add(f, p, w), symbol) for w in sym_members)
+    side = q * q
+    return tuple(
+        tuple(symbol_at[(r // q, r % q, c // q, c % q)] for c in range(side))
+        for r in range(side)
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_generate_matches_brute_force_labeling_on_every_flag(q):
+    flags = list(exhaustive_flags(q))
+    assert flags
+    for flag in flags:
+        assert generate(flag).rows == brute_force_labeling(flag)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_generate_matches_brute_force_labeling_random_flags(q):
+    f = make_field(q)
+    rng = random.Random(q * 23)
+    for _ in range(3):
+        flag = fx.random_flag_data(f, rng).flag()
+        assert generate(flag).rows == brute_force_labeling(flag)
