@@ -51,21 +51,19 @@ from .ooa import (
     VerifyResult,
     assemble,
     classify,
-    row_set_duplicate,
+    duplicate_finder,
     top_justified_sets,
     verify,
 )
 from .strong import (
     ConditionReport,
     ConditionResult,
-    FixedSubspaces,
     FlagData,
     HypothesisViolated,
     NotMutuallyOrthogonal,
     check_algebraic,
     check_combinatorial,
     condition_index_tuples,
-    fixed_subspaces,
     gamma_composite,
 )
 from .sudoku import (

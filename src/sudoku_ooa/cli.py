@@ -84,13 +84,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_check_family(args) -> int:
     data = flags_from_text(_read(args.path))
-    s = len(data) + 2
-    if args.level == "exhaustive":
-        return _print_verdict(verify(assemble([generate(d.flag()) for d in data]), "ooa"))
-    if args.level == "combinatorial":
-        report = check_combinatorial([generate(d.flag()) for d in data], s)
+    if args.level == "algebraic":
+        report = check_algebraic(data)
     else:
-        report = check_algebraic(data, s)
+        check_size(data[0].field.q, len(data) + 2)
+        array = assemble([generate(d.flag()) for d in data])
+        if args.level == "exhaustive":
+            return _print_verdict(verify(array, "ooa"))
+        report = check_combinatorial(array)
     if not args.quiet:
         print(report.to_text())
     print("PASS" if report.passed else "FAIL")
@@ -104,6 +105,7 @@ def _cmd_gen_sudoku(args) -> int:
     except ValueError:
         raise ParseError(1, f"--flag needs 5 comma-separated integers, got {args.flag!r}")
     datum = FlagData(field, a, b, c, d, beta)
+    check_size(args.q, 3)  # the array of a one-member family, as `construct --s 3`
     _write(args.out, grid_to_text(generate(datum.flag())))
     return 0
 

@@ -29,19 +29,18 @@ class FamilySpec:
     """A constructed family: its parameters and the s-2 flag data."""
 
     field: Field
-    s: int
     method: str  # "substrong" | "big"
     alpha: int | None
     members: tuple[int, ...] | None
     data: tuple[FlagData, ...]
 
-    def __post_init__(self):
-        if self.s != len(self.data) + 2:
-            raise ValueError("family size must equal s - 2")
-
     @property
     def q(self) -> int:
         return self.field.q
+
+    @property
+    def s(self) -> int:
+        return len(self.data) + 2
 
 
 def substrong_family(q: int) -> FamilySpec:
@@ -54,13 +53,13 @@ def substrong_family(q: int) -> FamilySpec:
     f = make_field(q)
     if q == 2:
         data = (FlagData(f, 1, 1, 0, 1, 1),)
-        return FamilySpec(f, 3, "substrong", None, None, data)
+        return FamilySpec(f, "substrong", None, None, data)
     alpha = 2
     data = tuple(
         FlagData(f, f.inv(f.mul(alpha, i)), 1, 0, f.mul(alpha, i), i)
         for i in range(1, q)
     )
-    return FamilySpec(f, q + 1, "substrong", alpha, None, data)
+    return FamilySpec(f, "substrong", alpha, None, data)
 
 
 def big_family(q: int, members) -> FamilySpec:
@@ -81,7 +80,7 @@ def big_family(q: int, members) -> FamilySpec:
         if f.mul(i, j) == minus_one:
             raise InvalidS(f"pair ({i}, {j}): i * j = -1")
     data = tuple(FlagData(f, i, 1, 0, f.inv(i), i) for i in s_sorted)
-    return FamilySpec(f, len(data) + 2, "big", None, s_sorted, data)
+    return FamilySpec(f, "big", None, s_sorted, data)
 
 
 def select_S(q: int) -> tuple[int, ...]:
@@ -121,7 +120,7 @@ def select_S(q: int) -> tuple[int, ...]:
 def _truncate(fam: FamilySpec, size: int) -> FamilySpec:
     data = fam.data[:size]
     members = fam.members[:size] if fam.members is not None else None
-    return FamilySpec(fam.field, size + 2, fam.method, fam.alpha, members, data)
+    return FamilySpec(fam.field, fam.method, fam.alpha, members, data)
 
 
 def construct_family(q: int, s: int) -> FamilySpec:

@@ -10,15 +10,15 @@ contribute 0 or 2 rows (mode ``sa``).
 Verification works on packed rows: each row is one integer with a fixed-width
 slot per column, so a row set's q^4 tuple keys come out of a few big-integer
 operations instead of a loop over columns.  ``check_size`` refuses arrays
-above the ``MAX_ENTRIES`` memory budget; the array parser and ``construct``
-call it before building anything.
+above the ``MAX_ENTRIES`` memory budget; the array parser and every command
+that builds an array call it before building anything.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, combinations
 
 from .sudoku import DimensionMismatch, first_repeat
 
@@ -121,22 +121,28 @@ def assemble(grids) -> BandedArray:
 def top_justified_sets(s: int) -> list[RowSet]:
     """All 4-row top-justified sets for s bands, in a fixed order.
 
-    Enumerated by band depth vectors (d_1..d_s) in {0,1,2}^s with sum 4,
-    shallowest first: by maximum depth used, then lexicographically.  The
-    all-top-rows sets therefore come before any set using a second band row.
+    The 4-subsets of the 2s row labels that hold each band's second row only
+    with its first, sorted shallowest first: by maximum depth used, then by
+    the band depth vector (d_1..d_s).  The all-top-rows sets therefore come
+    before any set using a second band row.
     """
     if s < 2:
         raise ValueError(f"need at least 2 bands, got {s}")
-    vectors = [d for d in product((0, 1, 2), repeat=s) if sum(d) == STRENGTH]
-    vectors.sort(key=lambda depths: (max(depths), depths))
-    return [
-        frozenset(
-            (band, depth)
-            for band, d in enumerate(depths, start=1)
-            for depth in range(1, d + 1)
-        )
-        for depths in vectors
+    labels = [(band, depth) for band in range(1, s + 1) for depth in (1, 2)]
+
+    def order(rowset):
+        depths = [0] * s
+        for band, _ in rowset:
+            depths[band - 1] += 1
+        return max(depths), depths
+
+    sets = [
+        rowset
+        for rowset in combinations(labels, STRENGTH)
+        if all(depth == 1 or (band, 1) in rowset for band, depth in rowset)
     ]
+    sets.sort(key=order)
+    return [frozenset(rowset) for rowset in sets]
 
 
 # Band-depth signatures (top-row-band depth, top-column-band depth, sorted
@@ -203,47 +209,39 @@ def repeat_text(rowset, duplicate, where: str) -> str:
     return f"rows {labels} repeat tuple {digits} at {where}"
 
 
-def _packed_rows(array: BandedArray) -> tuple[int, ...]:
-    """Each row as one integer holding entry m in slot m (see _slot).
+def duplicate_finder(array: BandedArray):
+    """Function from a row set to its first duplicated 4-tuple, or None.
 
-    Entries are below q <= 256, so each is one byte, placed at the low end of
-    its slot.  Native byte order throughout, so that ``_first_duplicate`` can
-    read the slots back with ``memoryview.cast``.
+    A hit is (tuple, col_a, col_b), the two columns that carry the tuple.
+    Each row is packed once into one integer holding entry m in slot m (see
+    _slot); entries are below q <= 256, so each is one byte, placed at the
+    low end of its slot in native byte order.  Column m's key is
+    ((a*q + b)*q + c)*q + d over the set's rows in label order, and Horner's
+    rule on the packed rows forms all q^4 keys at once, one per slot; every
+    key is below q^4, so no slot carries into the next.
     """
-    _, width = _slot(array.q)
+    q = array.q
+    code, width = _slot(q)
     low = 0 if sys.byteorder == "little" else width - 1
     packed = []
     for row in array.rows:
         slots = bytearray(len(row) * width)
         slots[low::width] = bytes(row)
         packed.append(int.from_bytes(slots, sys.byteorder))
-    return tuple(packed)
 
+    def first_duplicate(rowset) -> tuple | None:
+        labels = sorted(rowset)
+        key = 0
+        for b, d in labels:
+            key = key * q + packed[2 * (b - 1) + (d - 1)]
+        keys = memoryview(key.to_bytes(q**STRENGTH * width, sys.byteorder)).cast(code)
+        hit = first_repeat(keys.tolist())
+        if hit is None:
+            return None
+        first, second = hit
+        return tuple(array.row(b, d)[second] for b, d in labels), first, second
 
-def _first_duplicate(array: BandedArray, packed: tuple[int, ...], rowset) -> tuple | None:
-    """``row_set_duplicate`` on the array's packed rows.
-
-    Column m's key is ((a*q + b)*q + c)*q + d over the set's rows in label
-    order.  Horner's rule on the packed rows forms all q^4 keys at once, one
-    per slot; every key is below q^4, so no slot carries into the next.
-    """
-    q = array.q
-    labels = sorted(rowset)
-    key = 0
-    for b, d in labels:
-        key = key * q + packed[2 * (b - 1) + (d - 1)]
-    code, width = _slot(q)
-    keys = memoryview(key.to_bytes(q**STRENGTH * width, sys.byteorder)).cast(code)
-    hit = first_repeat(keys.tolist())
-    if hit is None:
-        return None
-    first, second = hit
-    return tuple(array.row(b, d)[second] for b, d in labels), first, second
-
-
-def row_set_duplicate(array: BandedArray, rowset) -> tuple | None:
-    """First duplicated 4-tuple in the row set, as (tuple, col_a, col_b)."""
-    return _first_duplicate(array, _packed_rows(array), rowset)
+    return first_duplicate
 
 
 def verify(array: BandedArray, mode: str = "ooa") -> VerifyResult:
@@ -258,11 +256,11 @@ def verify(array: BandedArray, mode: str = "ooa") -> VerifyResult:
     # Packed once per call, not cached on the array: at q = 16 the packed rows
     # take 2.6 MB, which a caller such as `construct` would otherwise keep
     # alive while it writes the array out.
-    packed = _packed_rows(array)
+    first_duplicate = duplicate_finder(array)
     for rowset in top_justified_sets(array.s):
         if mode == "sa" and classify(rowset) != "sudoku-TJ":
             continue
-        hit = _first_duplicate(array, packed, rowset)
+        hit = first_duplicate(rowset)
         if hit is not None:
             dup, first, second = hit
             return VerifyResult(False, rowset, dup, first, second)

@@ -8,27 +8,27 @@ checkers evaluate the system:
 
 * ``check_algebraic`` works on flag data alone, through 2x2/3x3 determinants
   and subspace intersections;
-* ``check_combinatorial`` works on the grids themselves: it assembles their
-  banded array and runs the exhaustive exactly-once test on the one to three
-  top-justified row sets that ``ROW_SETS`` assigns to each condition.  This
-  is the paper's correspondence: the family is strongly orthogonal exactly
-  when its array is an OOA(4,s,2,q).
+* ``check_combinatorial`` works on the family's assembled banded array: it
+  runs the exhaustive exactly-once test on the one to three top-justified
+  row sets that ``ROW_SETS`` assigns to each condition.  This is the paper's
+  correspondence: the family is strongly orthogonal exactly when its array
+  is an OOA(4,s,2,q).
 
-Both map each condition label to a function from an index tuple to a
-witness (or None), and ``_report`` turns that map into a ConditionReport keyed
-by label and index tuple; the two must agree verdict-for-verdict on families
-generated from flag data.
+Each checker reads s from its input, as the number of members plus 2.  Both
+map each condition label, and the mutual-orthogonality precondition ``orth``,
+to a function from an index tuple to a witness (or None), and ``_report``
+turns that map into a ConditionReport keyed by label and index tuple; the two
+must agree verdict-for-verdict on families generated from flag data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from itertools import combinations, permutations
 
 from .gf import Field
 from .linalg import Subspace, det, intersect, mat_sub, subspace_from, trivial_intersection
-from .ooa import _first_duplicate, _packed_rows, assemble, repeat_text
+from .ooa import BandedArray, duplicate_finder, repeat_text
 from .sudoku import Flag, InvalidFlagData, datum_violation, flag_from_data, subspace_gamma
 
 
@@ -53,7 +53,6 @@ class FlagData:
     c: int
     d: int
     beta: int
-    det: int = dc_field(init=False, compare=False)
     delta: int = dc_field(init=False, compare=False)
 
     def __post_init__(self):
@@ -64,9 +63,8 @@ class FlagData:
         why = datum_violation(f, self.a, self.b, self.c, self.d, self.beta)
         if why is not None:
             raise InvalidFlagData(why)
-        d = f.sub(f.mul(self.a, self.d), f.mul(self.b, self.c))
-        object.__setattr__(self, "det", d)
-        object.__setattr__(self, "delta", f.inv(d))
+        det = f.sub(f.mul(self.a, self.d), f.mul(self.b, self.c))
+        object.__setattr__(self, "delta", f.inv(det))
 
     @property
     def gamma(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -74,22 +72,6 @@ class FlagData:
 
     def flag(self) -> Flag:
         return flag_from_data(self.field, self.gamma, self.beta)
-
-
-@dataclass(frozen=True)
-class FixedSubspaces:
-    """Location spaces of the top large row and the left large column."""
-
-    top_large_row: Subspace
-    left_large_col: Subspace
-
-
-@lru_cache(maxsize=None)
-def fixed_subspaces(field: Field) -> FixedSubspaces:
-    return FixedSubspaces(
-        top_large_row=subspace_from(field, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
-        left_large_col=subspace_from(field, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
-    )
 
 
 def gamma_composite(di: FlagData, dj: FlagData):
@@ -199,7 +181,7 @@ def condition_index_tuples(label: str, n: int) -> list[tuple[int, ...]]:
     """Index tuples (1-based, over n family members) a condition ranges over."""
     if label == "i":
         return [(t,) for t in range(1, n + 1)]
-    if label == "ii.a":
+    if label in ("orth", "ii.a"):
         return [(i, j) for i, j in combinations(range(1, n + 1), 2)]
     if label in ("ii.b", "ii.c"):
         return [(i, j) for i, j in permutations(range(1, n + 1), 2)]
@@ -219,35 +201,37 @@ def condition_index_tuples(label: str, n: int) -> list[tuple[int, ...]]:
     raise ValueError(f"unknown condition label {label!r}")
 
 
-def _report(s: int, orth_entries, checks) -> ConditionReport:
-    """Assemble a report: checks maps label -> fn(*indices) -> witness-or-None.
+def _report(n: int, checks) -> ConditionReport:
+    """Report on n members: checks maps label -> fn(*indices) -> witness-or-None.
 
-    A label with no index tuples over the s-2 members is reported N/A, and its
-    function is not called.
+    The precondition ``orth`` is walked first, over every pair of members; a
+    witness there raises NotMutuallyOrthogonal.  A condition label with no
+    index tuples over the n members is reported N/A, and its function is not
+    called.
     """
-    entries = list(orth_entries)
+    if n < 1:
+        raise ValueError("a family needs at least one member")
+    entries = []
+    for i, j in condition_index_tuples("orth", n):
+        why = checks["orth"](i, j)
+        if why is not None:
+            raise NotMutuallyOrthogonal(f"members {i} and {j}: {why}")
+        entries.append(ConditionResult("orth", (i, j), "PASS"))
     for label in CONDITION_LABELS:
-        tuples = condition_index_tuples(label, s - 2)
+        tuples = condition_index_tuples(label, n)
         if not tuples:
             entries.append(ConditionResult(label, (), "N/A"))
         for idx in tuples:
             witness = checks[label](*idx)
             status = "PASS" if witness is None else "FAIL"
             entries.append(ConditionResult(label, idx, status, witness))
-    return ConditionReport(s, tuple(entries))
-
-
-def _validate_family_size(n: int, s: int) -> None:
-    if s != n + 2:
-        raise ValueError(f"family of {n} members needs s = {n + 2}, got {s}")
-    if s < 3:
-        raise ValueError("family parameter s must be at least 3")
+    return ConditionReport(n + 2, tuple(entries))
 
 
 # -- algebraic checker --------------------------------------------------------
 
 
-def check_algebraic(data, s: int) -> ConditionReport:
+def check_algebraic(data) -> ConditionReport:
     """Evaluate the condition system on flag data alone.
 
     Mutual orthogonality (pairwise nonsingular matrix differences) is a
@@ -255,25 +239,19 @@ def check_algebraic(data, s: int) -> ConditionReport:
     ``orth``.
     """
     data = list(data)
-    n = len(data)
-    _validate_family_size(n, s)
+    if not data:
+        raise ValueError("a family needs at least one member")
     f = data[0].field
     if any(d.field != f for d in data):
         raise ValueError("flag data lie over different fields")
-
-    orth_entries = []
-    for i, j in combinations(range(1, n + 1), 2):
-        diff = mat_sub(f, data[i - 1].gamma, data[j - 1].gamma)
-        if det(f, diff) == 0:
-            raise NotMutuallyOrthogonal(
-                f"members {i} and {j}: matrix difference is singular"
-            )
-        orth_entries.append(ConditionResult("orth", (i, j), "PASS"))
+    n = len(data)
 
     flags = [d.flag() for d in data]
     radix_spaces = [fl.radix_space for fl in flags]
     symbol_spaces = [fl.symbol_space for fl in flags]
-    fixed = fixed_subspaces(f)
+    # Location spaces of the top large row and the left large column.
+    top_large_row = subspace_from(f, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    left_large_col = subspace_from(f, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
 
     # Composite symbol spaces and their matrix data, by intersection; the
     # closed form is a cross-check where its hypotheses hold.
@@ -293,8 +271,8 @@ def check_algebraic(data, s: int) -> ConditionReport:
         inter[(i, j)] = w
         gammas[(i, j)] = gm
 
-    row_cuts = [intersect(v, fixed.top_large_row) for v in radix_spaces]
-    col_cuts = [intersect(v, fixed.left_large_col) for v in radix_spaces]
+    row_cuts = [intersect(v, top_large_row) for v in radix_spaces]
+    col_cuts = [intersect(v, left_large_col) for v in radix_spaces]
 
     def nonsingular(m, what: str) -> str | None:
         return None if det(f, m) != 0 else f"{what} is singular"
@@ -334,7 +312,10 @@ def check_algebraic(data, s: int) -> ConditionReport:
             return apart(inter[(i, j)], inter[(k, l)], "the two composite spaces meet")
         return nonsingular(mat_sub(f, gm1, gm2), "composite difference matrix")
 
-    return _report(s, orth_entries, {
+    return _report(n, {
+        "orth": lambda i, j: nonsingular(
+            mat_sub(f, data[i - 1].gamma, data[j - 1].gamma), "matrix difference"
+        ),
         "i": member_datum,
         "ii.a": composite_datum,
         "ii.b": pair_matrix(large_row_matrix, "large-row matrix"),
@@ -380,29 +361,27 @@ ROW_SETS = {
 }
 
 
-def check_combinatorial(grids, s: int) -> ConditionReport:
-    """Evaluate the condition system on grids by exhaustive enumeration.
+def check_combinatorial(array: BandedArray) -> ConditionReport:
+    """Evaluate the condition system on a family's array by exhaustive enumeration.
 
-    Each condition is the exactly-once test of its ``ROW_SETS`` on the grids'
-    assembled array, scanned on packed rows as ``verify`` scans them; a set
-    that several entries name is scanned once.  A failing set's witness names
-    its first repeated tuple and the grid cells (m // q^2, m % q^2) of the
-    two columns m that carry it.  The grids must be mutually orthogonal
-    sudoku solutions; that precondition is verified first and its verdicts
-    appear under the label ``orth``.
+    The array is read as ``assemble`` lays it out: bands 3..s are the members,
+    and column m holds grid cell (m // q^2, m % q^2).  Each condition is the
+    exactly-once test of its ``ROW_SETS``, scanned with ``verify``'s scanner; a
+    set that several entries name is scanned once.  A failing set's witness
+    names its first repeated tuple and the grid cells of the two columns that
+    carry it.  The members must be mutually orthogonal sudoku solutions; that
+    precondition is verified first and its pair verdicts appear under the
+    label ``orth``.
     """
-    grids = list(grids)
-    n = len(grids)
-    _validate_family_size(n, s)
-    array = assemble(grids)
-    packed = _packed_rows(array)
+    n = array.s - 2
+    first_duplicate = duplicate_finder(array)
     side = array.q**2
     witnesses: dict[frozenset, str | None] = {}
 
     def violation(rowset) -> str | None:
         key = frozenset(rowset)
         if key not in witnesses:
-            hit = _first_duplicate(array, packed, key)
+            hit = first_duplicate(key)
             if hit is not None:
                 dup, first, second = hit
                 where = f"cells {divmod(first, side)} and {divmod(second, side)}"
@@ -417,11 +396,4 @@ def check_combinatorial(grids, s: int) -> ConditionReport:
         why = check("sudoku")(t)
         if why is not None:
             raise NotMutuallyOrthogonal(f"member {t} is not a sudoku solution: {why}")
-    orth_entries = []
-    for i, j in combinations(range(1, n + 1), 2):
-        why = check("orth")(i, j)
-        if why is not None:
-            raise NotMutuallyOrthogonal(f"members {i} and {j}: {why}")
-        orth_entries.append(ConditionResult("orth", (i, j), "PASS"))
-
-    return _report(s, orth_entries, {label: check(label) for label in CONDITION_LABELS})
+    return _report(n, {label: check(label) for label in ROW_SETS})

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 from sudoku_ooa import DimensionMismatch, Grid, NotMutuallyOrthogonal
-from sudoku_ooa.strong import ConditionResult, _report
+from sudoku_ooa.strong import _report
 from sudoku_ooa.sudoku import first_repeat
 
 
@@ -126,7 +126,7 @@ def large_cols_orthogonal(a: Grid, b: Grid) -> bool:
     return repeated_pair(a, b, "column") is None
 
 
-def condition_report(grids, s: int):
+def condition_report(grids):
     """The condition system evaluated on radix and composite grids.
 
     Raises NotMutuallyOrthogonal if a member is not a sudoku solution or two
@@ -138,18 +138,13 @@ def condition_report(grids, s: int):
         why = sudoku_violation(grid)
         if why is not None:
             raise NotMutuallyOrthogonal(f"member {t} is not a sudoku solution: {why}")
-    orth_entries = []
-    for i, j in combinations(range(1, n + 1), 2):
-        why = repeated_pair(grids[i - 1], grids[j - 1])
-        if why is not None:
-            raise NotMutuallyOrthogonal(f"members {i} and {j}: {why}")
-        orth_entries.append(ConditionResult("orth", (i, j), "PASS"))
     radixes = [radix(g) for g in grids]
     composites = {
         (i, j): composite(radixes[i - 1], radixes[j - 1])
         for i, j in combinations(range(1, n + 1), 2)
     }
-    return _report(s, orth_entries, {
+    return _report(n, {
+        "orth": lambda i, j: repeated_pair(grids[i - 1], grids[j - 1]),
         "i": lambda t: subsquares_latin_violation(radixes[t - 1]),
         "ii.a": lambda i, j: sudoku_violation(composites[(i, j)]),
         "ii.b": lambda i, j: repeated_pair(radixes[i - 1], grids[j - 1], "row"),

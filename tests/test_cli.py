@@ -225,6 +225,31 @@ def test_construct_refuses_arrays_over_budget(capsys):
     assert stderr == "error: a 2s x q^4 array is limited to 16777216 entries\n"
 
 
+def test_check_family_refuses_arrays_over_budget(tmp_path, capsys):
+    # The combinatorial and exhaustive levels build the family's array, so a
+    # one-member family over GF(49) is refused before its grid is generated;
+    # the algebraic level builds no array and still runs.
+    flags = tmp_path / "flags.txt"
+    flags.write_text("flags q=49 count=1\n1 1 0 1 1\n")
+    for level in ("combinatorial", "exhaustive"):
+        code, stdout, stderr = run(capsys, "check-family", str(flags), "--level", level)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {_BUDGET}\n"
+    code, stdout, stderr = run(capsys, "check-family", str(flags), "--level", "algebraic")
+    assert (code, stdout.splitlines()[-1], stderr) == (0, "PASS", "")
+
+
+def test_gen_sudoku_refuses_grids_over_budget(tmp_path, capsys):
+    # A grid is the array of a one-member family, as `construct --s 3` builds.
+    out = tmp_path / "grid.txt"
+    code, stdout, stderr = run(
+        capsys, "gen-sudoku", "--q", "49", "--flag", "1,1,0,1,1", "--out", str(out)
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {_BUDGET}\n"
+    assert not out.exists()
+
+
 def test_flags_q257_is_a_header_error(tmp_path, capsys):
     flags = tmp_path / "flags.txt"
     flags.write_text("flags q=257 count=1\n1 1 0 1 1\n")

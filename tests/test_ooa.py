@@ -16,10 +16,10 @@ from sudoku_ooa import (
     NotTopJustified,
     assemble,
     classify,
+    duplicate_finder,
     generate,
     make_field,
     max_guaranteed_s,
-    row_set_duplicate,
     top_justified_sets,
     verify,
 )
@@ -77,6 +77,23 @@ def test_top_justified_against_subset_oracle(s):
     assert set(got) == expected
 
 
+def depth_vector_order(s):
+    """The sets in order of their band depth vectors in {0,1,2}^s with sum 4,
+    by maximum depth and then lexicographically: the order the verifier has
+    always scanned in, and so the order its first failing set is named in."""
+    vectors = [d for d in itertools.product((0, 1, 2), repeat=s) if sum(d) == 4]
+    vectors.sort(key=lambda depths: (max(depths), depths))
+    return [
+        frozenset((band, depth) for band, d in enumerate(depths, 1) for depth in range(1, d + 1))
+        for depths in vectors
+    ]
+
+
+@pytest.mark.parametrize("s", range(2, 11))
+def test_top_justified_order_matches_depth_vector_enumeration(s):
+    assert top_justified_sets(s) == depth_vector_order(s)
+
+
 def test_classify_examples():
     assert classify(frozenset({(1, 1), (2, 1), (3, 1), (4, 1)})) == "2a"
     assert classify(frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})) == "sudoku-TJ"
@@ -121,7 +138,7 @@ def test_verify_sa42_array():
     assert (result.first_column, result.second_column) == (0, 1)
     # A deeper set fails too.
     deeper = frozenset({(1, 1), (3, 1), (4, 1), (4, 2)})
-    assert row_set_duplicate(arr, deeper) == ((0, 1, 1, 0), 2, 4)
+    assert duplicate_finder(arr)(deeper) == ((0, 1, 1, 0), 2, 4)
 
 
 def test_verify_assembled_pair3():

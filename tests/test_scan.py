@@ -23,8 +23,8 @@ from sudoku_ooa import (
     are_orthogonal,
     assemble,
     construct_family,
+    duplicate_finder,
     generate,
-    row_set_duplicate,
     top_justified_sets,
     verify,
 )
@@ -48,7 +48,7 @@ def ref_scan(cells, key):
     return None
 
 
-def ref_row_set_duplicate(array, rowset):
+def ref_duplicate(array, rowset):
     rows = [array.row(b, d) for b, d in sorted(rowset)]
     return ref_scan(range(array.q**4), lambda m: tuple(r[m] for r in rows))
 
@@ -143,9 +143,10 @@ def test_row_set_witnesses_match_reference(q):
     for _ in range(4):
         broken = corrupt_array(array, rng)
         first_fail = None
+        first_duplicate = duplicate_finder(broken)
         for rowset in top_justified_sets(broken.s):
-            want = ref_row_set_duplicate(broken, rowset)
-            assert row_set_duplicate(broken, rowset) == want
+            want = ref_duplicate(broken, rowset)
+            assert first_duplicate(rowset) == want
             if want is not None and first_fail is None:
                 first_fail = VerifyResult(False, rowset, *want)
         assert first_fail is not None
@@ -160,11 +161,11 @@ def test_packed_scan_at_slot_width_boundaries(q, width):
     rng = random.Random(300 + q)
     array = location_array(q)
     (rowset,) = top_justified_sets(2)
-    assert row_set_duplicate(array, rowset) is None
+    assert duplicate_finder(array)(rowset) is None
     assert verify(array, "ooa") == VerifyResult(True)
     for _ in range(3):
         broken = corrupt_array(array, rng)
-        want = ref_row_set_duplicate(broken, rowset)
+        want = ref_duplicate(broken, rowset)
         assert want is not None
-        assert row_set_duplicate(broken, rowset) == want
+        assert duplicate_finder(broken)(rowset) == want
         assert verify(broken, "ooa") == VerifyResult(False, rowset, *want)

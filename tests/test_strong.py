@@ -10,9 +10,12 @@ import pytest
 
 import fixtures as fx
 from sudoku_ooa import (
+    BandedArray,
     FlagData,
     HypothesisViolated,
     NotMutuallyOrthogonal,
+    array_from_text,
+    array_to_text,
     assemble,
     check_algebraic,
     check_combinatorial,
@@ -20,7 +23,6 @@ from sudoku_ooa import (
     condition_index_tuples,
     construct_family,
     det,
-    fixed_subspaces,
     gamma_composite,
     generate,
     intersect,
@@ -88,16 +90,8 @@ def test_gamma_composite_matches_intersection(q):
         done += 1
 
 
-def test_fixed_subspaces_shape():
-    f = make_field(3)
-    fixed = fixed_subspaces(f)
-    assert fixed.top_large_row.dim == 3
-    assert fixed.left_large_col.dim == 3
-    assert intersect(fixed.top_large_row, fixed.left_large_col).dim == 2
-
-
 def test_check_algebraic_pair3_all_pass():
-    report = check_algebraic(pair3_data(), 4)
+    report = check_algebraic(pair3_data())
     assert report.passed
     assert report.status("ii.a", (1, 2)) == "PASS"
     assert report.status("iii.a") == "N/A"
@@ -115,7 +109,7 @@ def test_pair3_intersection_datum():
 def test_check_algebraic_big_family_gf7():
     f = make_field(7)
     data = [FlagData(f, i, 1, 0, f.inv(i), i) for i in (1, 3, 5)]
-    report = check_algebraic(data, 5)
+    report = check_algebraic(data)
     assert report.passed
     # det(composite(i,j) - member k) follows the (i+j)(k-i)(j-k)/(k(1+ij)) form.
     by_value = {1: data[0], 3: data[1], 5: data[2]}
@@ -135,7 +129,7 @@ def test_check_algebraic_big_family_gf7():
 
 def test_check_algebraic_single_datum():
     f = make_field(4)
-    report = check_algebraic([FlagData(f, 1, 1, 0, 1, 1)], 3)
+    report = check_algebraic([FlagData(f, 1, 1, 0, 1, 1)])
     assert report.passed
     assert report.status("i", (1,)) == "PASS"
     for label in ("ii.a", "ii.b", "ii.c", "iii.a", "iii.b", "iii.c", "iv"):
@@ -146,17 +140,17 @@ def test_check_algebraic_not_mutually_orthogonal():
     f = make_field(3)
     d = FlagData(f, 1, 1, 0, 1, 1)
     with pytest.raises(NotMutuallyOrthogonal, match="1 and 2"):
-        check_algebraic([d, FlagData(f, 1, 1, 0, 1, 2)], 4)
+        check_algebraic([d, FlagData(f, 1, 1, 0, 1, 2)])
 
 
 def test_check_combinatorial_pair3():
     grids = [generate(d.flag()) for d in pair3_data()]
-    report = check_combinatorial(grids, 4)
+    report = check_combinatorial(assemble(grids))
     assert report.passed
 
 
 def test_check_combinatorial_sa42_pair_fails_condition_i():
-    report = check_combinatorial([fx.SA42_M1, fx.SA42_M2], 4)
+    report = check_combinatorial(assemble([fx.SA42_M1, fx.SA42_M2]))
     assert not report.passed
     assert report.status("i", (1,)) == "FAIL"
     assert report.status("i", (2,)) == "FAIL"
@@ -175,7 +169,7 @@ def test_check_combinatorial_sa42_pair_fails_condition_i():
 def test_check_combinatorial_single_gf2():
     f = make_field(2)
     grid = generate(FlagData(f, 1, 1, 0, 1, 1).flag())
-    report = check_combinatorial([grid], 3)
+    report = check_combinatorial(assemble([grid]))
     assert report.passed
 
 
@@ -183,12 +177,12 @@ def test_check_combinatorial_rejects_non_sudoku():
     rows = [list(r) for r in fx.PAIR3_M1.rows]
     rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
     with pytest.raises(NotMutuallyOrthogonal, match="not a sudoku solution"):
-        check_combinatorial([fx.grid(3, rows)], 3)
+        check_combinatorial(assemble([fx.grid(3, rows)]))
 
 
 def test_check_combinatorial_rejects_non_orthogonal_pair():
     with pytest.raises(NotMutuallyOrthogonal, match="1 and 2"):
-        check_combinatorial([fx.PAIR3_M1, fx.PAIR3_M1], 4)
+        check_combinatorial(assemble([fx.PAIR3_M1, fx.PAIR3_M1]))
 
 
 @pytest.mark.parametrize("bad", [-1, 9, 81])
@@ -196,7 +190,7 @@ def test_check_combinatorial_refuses_symbol_outside_alphabet(bad):
     rows = [list(r) for r in fx.PAIR3_M1.rows]
     rows[4][7] = bad
     with pytest.raises(ValueError):
-        check_combinatorial([fx.grid(3, rows), fx.PAIR3_M2], 4)
+        check_combinatorial(assemble([fx.grid(3, rows), fx.PAIR3_M2]))
 
 
 _WITNESS = re.compile(
@@ -208,7 +202,7 @@ _WITNESS = re.compile(
 def test_combinatorial_witness_names_a_repeat_of_the_condition_row_sets():
     grids = [fx.SA42_M1, fx.SA42_M2]
     array = assemble(grids)
-    fails = [e for e in check_combinatorial(grids, 4).entries if e.status == "FAIL"]
+    fails = [e for e in check_combinatorial(array).entries if e.status == "FAIL"]
     assert {e.label for e in fails} >= {"i"}
     for e in fails:
         match = _WITNESS.fullmatch(e.witness)
@@ -258,17 +252,34 @@ def test_row_sets_are_the_top_justified_sets_of_the_array(s):
     assert union == set(top_justified_sets(s)) - {locations}
 
 
+def test_checkers_refuse_a_family_without_members():
+    with pytest.raises(ValueError, match="at least one member"):
+        check_algebraic([])
+    locations_only = BandedArray(3, 2, assemble([fx.PAIR3_M1]).rows[:4])
+    with pytest.raises(ValueError, match="at least one member"):
+        check_combinatorial(locations_only)
+
+
+@pytest.mark.parametrize("grids", [[fx.SA42_M1, fx.SA42_M2], [fx.PAIR3_M1, fx.PAIR3_M2]])
+def test_check_combinatorial_reads_an_array_back_from_text(grids):
+    # The checker reads only the array, so a written and re-read copy of it
+    # gives the same report, witnesses included.
+    array = assemble(grids)
+    read_back = array_from_text(array_to_text(array))
+    assert check_combinatorial(read_back) == check_combinatorial(array)
+
+
 def test_check_combinatorial_rejects_shape_mismatch():
     from sudoku_ooa import DimensionMismatch
 
     with pytest.raises(DimensionMismatch):
-        check_combinatorial([fx.PAIR3_M1, fx.SA42_M1], 4)
+        check_combinatorial(assemble([fx.PAIR3_M1, fx.SA42_M1]))
 
 
-def agreement_case(field, data, s):
+def agreement_case(field, data):
     """Both checkers agree verdict-for-verdict on one family."""
-    alg = check_algebraic(data, s)
-    comb = check_combinatorial([generate(d.flag()) for d in data], s)
+    alg = check_algebraic(data)
+    comb = check_combinatorial(assemble([generate(d.flag()) for d in data]))
     assert [(e.label, e.indices, e.status) for e in alg.entries] == [
         (e.label, e.indices, e.status) for e in comb.entries
     ]
@@ -284,7 +295,7 @@ def test_checker_agreement_random_families(q):
         data = fx.random_orthogonal_family(f, size, rng, tries=60)
         if data is None:
             continue
-        agreement_case(f, data, size + 2)
+        agreement_case(f, data)
         found += 1
         if found >= 12:
             break
@@ -306,8 +317,8 @@ def test_checker_agreement_without_composite_datum():
     meet = intersect(data[0].flag().radix_space, data[1].flag().radix_space)
     assert meet.dim == 2
     assert subspace_gamma(meet) is None
-    for size, s in ((3, 5), (4, 6)):
-        alg, comb = agreement_case(f, data[:size], s)
+    for size in (3, 4):
+        alg, comb = agreement_case(f, data[:size])
         assert alg.status("ii.a", (1, 2)) == "FAIL"
         assert not alg.passed
 
@@ -315,23 +326,23 @@ def test_checker_agreement_without_composite_datum():
 def test_labeling_invariance_of_combinatorial_checker():
     rng = random.Random(31)
     grids = [generate(d.flag()) for d in pair3_data()]
-    base = check_combinatorial(grids, 4)
+    base = check_combinatorial(assemble(grids))
     for _ in range(5):
         relabeled = [
             fx.relabel(g, fx.random_radix_preserving_bijection(3, rng)) for g in grids
         ]
-        report = check_combinatorial(relabeled, 4)
+        report = check_combinatorial(assemble(relabeled))
         assert [(e.label, e.indices, e.status) for e in report.entries] == [
             (e.label, e.indices, e.status) for e in base.entries
         ]
     # Also on a family that fails a condition.
-    fail_base = check_combinatorial([fx.SA42_M1, fx.SA42_M2], 4)
+    fail_base = check_combinatorial(assemble([fx.SA42_M1, fx.SA42_M2]))
     for _ in range(5):
         relabeled = [
             fx.relabel(g, fx.random_radix_preserving_bijection(2, rng))
             for g in (fx.SA42_M1, fx.SA42_M2)
         ]
-        report = check_combinatorial(relabeled, 4)
+        report = check_combinatorial(assemble(relabeled))
         assert [(e.label, e.indices, e.status) for e in report.entries] == [
             (e.label, e.indices, e.status) for e in fail_base.entries
         ]
@@ -356,9 +367,9 @@ ACTIVATION = {"i": 3, "ii.a": 4, "ii.b": 4, "ii.c": 4, "iii.a": 5, "iii.b": 5, "
 def test_report_skeleton_follows_activation_table(level, q, s):
     data = construct_family(q, s).data
     if level == "algebraic":
-        report = check_algebraic(data, s)
+        report = check_algebraic(data)
     else:
-        report = check_combinatorial([generate(d.flag()) for d in data], s)
+        report = check_combinatorial(assemble([generate(d.flag()) for d in data]))
     expected = []
     for label, first_s in ACTIVATION.items():
         if s < first_s:
@@ -370,7 +381,7 @@ def test_report_skeleton_follows_activation_table(level, q, s):
 
 
 def test_report_serialization_format():
-    report = check_algebraic(pair3_data(), 4)
+    report = check_algebraic(pair3_data())
     lines = report.to_text().splitlines()
     assert lines[0] == "orth 1,2 PASS"
     assert "i 1 PASS" in lines
