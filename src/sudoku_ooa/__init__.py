@@ -58,7 +58,6 @@ from .ooa import (
 from .strong import (
     ConditionReport,
     ConditionResult,
-    FlagData,
     HypothesisViolated,
     NotMutuallyOrthogonal,
     check_algebraic,
@@ -70,11 +69,11 @@ from .sudoku import (
     DimensionError,
     DimensionMismatch,
     Flag,
+    FlagData,
     Grid,
     InvalidFlagData,
     NotSudokuFlag,
     are_orthogonal,
-    flag_from_data,
     flag_from_vectors,
     generate,
     is_sudoku_subspace,

@@ -14,16 +14,18 @@ from pathlib import Path
 from .families import construct_family, max_guaranteed_s
 from .files import (
     ParseError,
+    _quote,
     array_from_text,
     array_to_text,
     flags_from_text,
     flags_to_text,
     grid_to_text,
+    parse_int,
 )
 from .gf import find_generator, make_field
 from .ooa import VerifyResult, assemble, check_size, verify
-from .strong import FlagData, check_algebraic, check_combinatorial
-from .sudoku import generate
+from .strong import check_algebraic, check_combinatorial
+from .sudoku import FlagData, generate
 
 
 def _write(out: str | None, text: str) -> None:
@@ -101,9 +103,9 @@ def _cmd_check_family(args) -> int:
 def _cmd_gen_sudoku(args) -> int:
     field = make_field(args.q)
     try:
-        a, b, c, d, beta = (int(tok) for tok in args.flag.split(","))
+        a, b, c, d, beta = map(parse_int, args.flag.split(","))
     except ValueError:
-        raise ParseError(1, f"--flag needs 5 comma-separated integers, got {args.flag!r}")
+        raise ParseError(1, f"--flag needs 5 comma-separated integers, got {_quote(args.flag)}")
     datum = FlagData(field, a, b, c, d, beta)
     check_size(args.q, 3)  # the array of a one-member family, as `construct --s 3`
     _write(args.out, grid_to_text(generate(datum.flag())))

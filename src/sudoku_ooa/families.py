@@ -9,11 +9,11 @@ for a requested array parameter s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .gf import Field, find_generator, make_field
-from .strong import FlagData
+from .sudoku import FlagData
 
 
 class InvalidS(ValueError):
@@ -26,13 +26,14 @@ class SOutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A constructed family: its parameters and the s-2 flag data."""
+    """A constructed family: the method that built it and its s-2 flag data."""
 
-    field: Field
     method: str  # "substrong" | "big"
-    alpha: int | None
-    members: tuple[int, ...] | None
     data: tuple[FlagData, ...]
+
+    @property
+    def field(self) -> Field:
+        return self.data[0].field
 
     @property
     def q(self) -> int:
@@ -41,6 +42,10 @@ class FamilySpec:
     @property
     def s(self) -> int:
         return len(self.data) + 2
+
+
+# The substrong family's alpha: the smallest element outside {0, 1}.
+SUBSTRONG_ALPHA = 2
 
 
 def substrong_family(q: int) -> FamilySpec:
@@ -52,14 +57,12 @@ def substrong_family(q: int) -> FamilySpec:
     """
     f = make_field(q)
     if q == 2:
-        data = (FlagData(f, 1, 1, 0, 1, 1),)
-        return FamilySpec(f, "substrong", None, None, data)
-    alpha = 2
+        return FamilySpec("substrong", (FlagData(f, 1, 1, 0, 1, 1),))
     data = tuple(
-        FlagData(f, f.inv(f.mul(alpha, i)), 1, 0, f.mul(alpha, i), i)
+        FlagData(f, f.inv(f.mul(SUBSTRONG_ALPHA, i)), 1, 0, f.mul(SUBSTRONG_ALPHA, i), i)
         for i in range(1, q)
     )
-    return FamilySpec(f, "substrong", alpha, None, data)
+    return FamilySpec("substrong", data)
 
 
 def big_family(q: int, members) -> FamilySpec:
@@ -80,7 +83,7 @@ def big_family(q: int, members) -> FamilySpec:
         if f.mul(i, j) == minus_one:
             raise InvalidS(f"pair ({i}, {j}): i * j = -1")
     data = tuple(FlagData(f, i, 1, 0, f.inv(i), i) for i in s_sorted)
-    return FamilySpec(f, "big", None, s_sorted, data)
+    return FamilySpec("big", data)
 
 
 def select_S(q: int) -> tuple[int, ...]:
@@ -117,12 +120,6 @@ def select_S(q: int) -> tuple[int, ...]:
     return out
 
 
-def _truncate(fam: FamilySpec, size: int) -> FamilySpec:
-    data = fam.data[:size]
-    members = fam.members[:size] if fam.members is not None else None
-    return FamilySpec(fam.field, fam.method, fam.alpha, members, data)
-
-
 def construct_family(q: int, s: int) -> FamilySpec:
     """Family of s-2 flag data whose sudoku array is an OOA(4,s,2,q).
 
@@ -138,7 +135,8 @@ def construct_family(q: int, s: int) -> FamilySpec:
     if s > largest:
         raise SOutOfRange(f"no construction for q = {q} reaches s = {s}; the largest is {largest}")
     if s <= 4:
-        return _truncate(substrong_family(q), s - 2)
+        fam = substrong_family(q)
+        return replace(fam, data=fam.data[: s - 2])
     return big_family(q, select_S(q)[: s - 2])
 
 

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from .gf import MAX_ORDER, NotPrimePower, make_field
 from .ooa import ArrayTooLarge, BandedArray, check_size
-from .strong import FlagData
-from .sudoku import Grid, InvalidFlagData
+from .sudoku import FlagData, Grid, InvalidFlagData
 
 ARRAY_HEADER = "ooa t=4 s={s} l=2 v={q}"
 
@@ -33,6 +32,27 @@ def _quote(text: str) -> str:
     return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
+# Deletes every character a decimal integer may hold: ASCII digits and '-'.
+_NUMERALS = str.maketrans("", "", "-0123456789")
+
+
+def parse_ints(text: str) -> tuple[int, ...]:
+    """The whitespace-separated integers, each an optional '-' and ASCII digits.
+
+    Raises ValueError otherwise.  The whole text is checked in one pass, since
+    int() alone would also take '+', '_' and non-ASCII digits.
+    """
+    if text.translate(_NUMERALS).strip():
+        raise ValueError(f"not decimal integers: {_quote(text)}")
+    return tuple(map(int, text.split()))
+
+
+def parse_int(text: str) -> int:
+    """The text's one integer, as ``parse_ints`` reads it, or ValueError."""
+    (value,) = parse_ints(text)
+    return value
+
+
 def _header_fields(
     line: str, kind: str, expected_keys: tuple[str, ...], minimum: dict[str, int]
 ) -> dict[str, int]:
@@ -47,10 +67,9 @@ def _header_fields(
         if key in out:
             raise ParseError(1, f"repeated header field {_quote(part)}")
         try:
-            out[key] = int(value)
+            out[key] = parse_int(value)
         except ValueError:
-            digits = value[1:] if value[0] in "+-" else value
-            if digits.isdecimal():  # an integer past the int-string digit limit
+            if value.isascii() and value.removeprefix("-").isdecimal():  # over the digit limit
                 raise ParseError(1, f"header field {key} has too many digits") from None
             raise ParseError(1, f"non-integer header value {_quote(part)}") from None
     missing = [k for k in expected_keys if k not in out]
@@ -68,7 +87,7 @@ def _header_fields(
 def _int_row(line: str, lineno: int, expected: int, bound: int | None = None) -> tuple[int, ...]:
     """The line's integers: exactly ``expected`` of them, each in 0..bound-1 if given."""
     try:
-        row = tuple(map(int, line.split()))
+        row = parse_ints(line)
     except ValueError:
         raise ParseError(lineno, f"non-integer entry in {_quote(line)}") from None
     if len(row) != expected:

@@ -112,8 +112,8 @@ class Field:
         ]
         self._neg_table = [self.index([-x for x in c]) for c in coeffs]
         self._mul_table = [self._mul_raw(a, b) for a in range(q) for b in range(q)]
-        # Built after the mul table, which _inv_raw's pow reads.
-        self._inv_table = [0] + [self._inv_raw(a) for a in range(1, q)]
+        # a^-1 = a^(q-2), built after the mul table, which pow reads.
+        self._inv_table = [0] + [self.pow(a, q - 2) for a in range(1, q)]
 
     def __repr__(self) -> str:
         return f"Field(q={self.q})"
@@ -130,10 +130,6 @@ class Field:
         return hash((self.p, self.k, self.modulus))
 
     # -- element <-> coefficient views --
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector of element a, constant term first, length k."""
-        return tuple(_index_coeffs(a, self.p, self.k))
 
     def index(self, coeffs) -> int:
         """Canonical index of the element with the given coefficient vector."""
@@ -170,17 +166,15 @@ class Field:
             raise DivisionByZero("inverse of zero")
         return self._inv_table[a]
 
-    def _inv_raw(self, a: int) -> int:
-        return self.pow(a, self.q - 2)
-
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise DivisionByZero("division by zero")
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
+        """a**n for n >= 0, by repeated squaring."""
         if n < 0:
-            return self.pow(self.inv(a), -n)
+            raise ValueError(f"negative exponent {n}")  # the squaring loop would not end
         result = 1
         base = a
         while n:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations_with_replacement
 
 from .sudoku import DimensionMismatch, first_repeat
 
@@ -121,28 +121,32 @@ def assemble(grids) -> BandedArray:
 def top_justified_sets(s: int) -> list[RowSet]:
     """All 4-row top-justified sets for s bands, in a fixed order.
 
-    The 4-subsets of the 2s row labels that hold each band's second row only
-    with its first, sorted shallowest first: by maximum depth used, then by
-    the band depth vector (d_1..d_s).  The all-top-rows sets therefore come
-    before any set using a second band row.
+    Each set is a multiset of 4 bands, none used more than twice: a band used
+    d times contributes its rows (band, 1) .. (band, d).  The sets are sorted
+    shallowest first: by maximum depth used, then by the band depth vector
+    (d_1..d_s).  The all-top-rows sets therefore come before any set using a
+    second band row.
     """
     if s < 2:
         raise ValueError(f"need at least 2 bands, got {s}")
-    labels = [(band, depth) for band in range(1, s + 1) for depth in (1, 2)]
 
-    def order(rowset):
+    def order(bands):
         depths = [0] * s
-        for band, _ in rowset:
+        for band in bands:
             depths[band - 1] += 1
         return max(depths), depths
 
-    sets = [
-        rowset
-        for rowset in combinations(labels, STRENGTH)
-        if all(depth == 1 or (band, 1) in rowset for band, depth in rowset)
+    # Bands come sorted, so a band used three times fills bands[i..i+2].
+    multisets = [
+        bands
+        for bands in combinations_with_replacement(range(1, s + 1), STRENGTH)
+        if all(bands[i] != bands[i + 2] for i in range(STRENGTH - 2))
     ]
-    sets.sort(key=order)
-    return [frozenset(rowset) for rowset in sets]
+    multisets.sort(key=order)
+    return [
+        frozenset((band, 2 if i and bands[i - 1] == band else 1) for i, band in enumerate(bands))
+        for bands in multisets
+    ]
 
 
 # Band-depth signatures (top-row-band depth, top-column-band depth, sorted

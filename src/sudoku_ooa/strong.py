@@ -23,13 +23,12 @@ must agree verdict-for-verdict on families generated from flag data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .gf import Field
 from .linalg import Subspace, det, intersect, mat_sub, subspace_from, trivial_intersection
 from .ooa import BandedArray, duplicate_finder, repeat_text
-from .sudoku import Flag, InvalidFlagData, datum_violation, flag_from_data, subspace_gamma
+from .sudoku import FlagData, datum_violation, subspace_gamma
 
 
 class HypothesisViolated(ValueError):
@@ -41,37 +40,6 @@ class NotMutuallyOrthogonal(ValueError):
 
 
 CONDITION_LABELS = ("i", "ii.a", "ii.b", "ii.c", "iii.a", "iii.b", "iii.c", "iv")
-
-
-@dataclass(frozen=True)
-class FlagData:
-    """Validated datum (2x2 matrix entries a,b,c,d plus beta) of a flag."""
-
-    field: Field
-    a: int
-    b: int
-    c: int
-    d: int
-    beta: int
-    delta: int = dc_field(init=False, compare=False)
-
-    def __post_init__(self):
-        f = self.field
-        for x in (self.a, self.b, self.c, self.d, self.beta):
-            if not 0 <= x < f.q:
-                raise InvalidFlagData(f"entry {x} outside field of order {f.q}")
-        why = datum_violation(f, self.a, self.b, self.c, self.d, self.beta)
-        if why is not None:
-            raise InvalidFlagData(why)
-        det = f.sub(f.mul(self.a, self.d), f.mul(self.b, self.c))
-        object.__setattr__(self, "delta", f.inv(det))
-
-    @property
-    def gamma(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
-
-    def flag(self) -> Flag:
-        return flag_from_data(self.field, self.gamma, self.beta)
 
 
 def gamma_composite(di: FlagData, dj: FlagData):
@@ -125,11 +93,15 @@ def large_row_matrix(di: FlagData, dj: FlagData):
 
 
 def large_col_matrix(di: FlagData, dj: FlagData):
-    """3x3 matrix whose nonsingularity is the large-column orthogonality test."""
+    """3x3 matrix whose nonsingularity is the large-column orthogonality test.
+
+    Each member's entries a and b are scaled by delta = det(gamma)^-1.
+    """
     f = di.field
+    delta_i, delta_j = (f.inv(det(f, d.gamma)) for d in (di, dj))
     return (
-        (f.mul(di.b, di.delta), 0, f.mul(dj.b, dj.delta)),
-        (f.mul(di.a, di.delta), f.inv(di.beta), f.mul(dj.a, dj.delta)),
+        (f.mul(di.b, delta_i), 0, f.mul(dj.b, delta_j)),
+        (f.mul(di.a, delta_i), f.inv(di.beta), f.mul(dj.a, delta_j)),
         (1, 1, 1),
     )
 
@@ -149,7 +121,6 @@ class ConditionResult:
 class ConditionReport:
     """Per-condition verdicts for one family, in deterministic label order."""
 
-    s: int
     entries: tuple[ConditionResult, ...]
 
     @property
@@ -225,7 +196,7 @@ def _report(n: int, checks) -> ConditionReport:
             witness = checks[label](*idx)
             status = "PASS" if witness is None else "FAIL"
             entries.append(ConditionResult(label, idx, status, witness))
-    return ConditionReport(n + 2, tuple(entries))
+    return ConditionReport(tuple(entries))
 
 
 # -- algebraic checker --------------------------------------------------------

@@ -101,17 +101,35 @@ def datum_violation(field: Field, a: int, b: int, c: int, d: int, beta: int) -> 
     return None
 
 
-def flag_from_data(field: Field, gamma, beta: int) -> Flag:
-    """Canonical flag for a datum: columns (1,0,a,c), (0,1,b,d), (0,1,0,beta).
+@dataclass(frozen=True)
+class FlagData:
+    """Validated datum (2x2 matrix entries a,b,c,d plus beta) of a flag."""
 
-    Raises InvalidFlagData with ``datum_violation``'s reason if the datum
-    breaks a rule.
-    """
-    (a, b), (c, d) = gamma
-    why = datum_violation(field, a, b, c, d, beta)
-    if why is not None:
-        raise InvalidFlagData(why)
-    return flag_from_vectors(field, (1, 0, a, c), (0, 1, b, d), (0, 1, 0, beta))
+    field: Field
+    a: int
+    b: int
+    c: int
+    d: int
+    beta: int
+
+    def __post_init__(self):
+        f = self.field
+        for x in (self.a, self.b, self.c, self.d, self.beta):
+            if not 0 <= x < f.q:
+                raise InvalidFlagData(f"entry {x} outside field of order {f.q}")
+        why = datum_violation(f, self.a, self.b, self.c, self.d, self.beta)
+        if why is not None:
+            raise InvalidFlagData(why)
+
+    @property
+    def gamma(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return ((self.a, self.b), (self.c, self.d))
+
+    def flag(self) -> Flag:
+        """Canonical flag: columns (1,0,a,c), (0,1,b,d), (0,1,0,beta)."""
+        return flag_from_vectors(
+            self.field, (1, 0, self.a, self.c), (0, 1, self.b, self.d), (0, 1, 0, self.beta)
+        )
 
 
 def subspace_gamma(sub: Subspace):

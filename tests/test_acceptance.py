@@ -40,6 +40,7 @@ from sudoku_ooa import (
     top_justified_sets,
     verify,
 )
+from sudoku_ooa.families import SUBSTRONG_ALPHA
 from sudoku_ooa.linalg import mat_sub
 from sudoku_ooa.strong import large_col_matrix, large_row_matrix
 
@@ -236,7 +237,7 @@ def test_criterion_6_substrong_maximality():
             if entry.label in ("i", "ii.a", "ii.b", "ii.c"):
                 assert entry.status == "PASS", (q, entry)
         f = fam.field
-        alpha = fam.alpha
+        alpha = SUBSTRONG_ALPHA
         inv_alpha = f.inv(alpha)
         for di, dj in itertools.permutations(fam.data, 2):
             i, j = di.beta, dj.beta

@@ -142,6 +142,26 @@ _BUDGET = "a 2s x q^4 array is limited to 16777216 entries"
             "header field v has too many digits",
             id="verify-v-over-digit-limit",
         ),
+        # Only an optional '-' and ASCII digits: int() alone would read these
+        # as 11, 3 and 11.
+        pytest.param(
+            "check-family",
+            "flags q=1_1 count=1",
+            "non-integer header value 'q=1_1'",
+            id="flags-underscore-q",
+        ),
+        pytest.param(
+            "check-family", "flags q=+3 count=1", "non-integer header value 'q=+3'", id="flags-plus-q"
+        ),
+        pytest.param(
+            "verify", "ooa t=4 s=3 l=2 v=١١", "non-integer header value 'v=١١'", id="verify-arabic-v"
+        ),
+        pytest.param(
+            "verify",
+            "ooa t=4 s=3 l=2 v=" + "١" * 5000,
+            "non-integer header value 'v=" + "١" * 38 + "'... (5002 characters)",
+            id="verify-long-arabic-v",
+        ),
         pytest.param(
             "check-family",
             "flags q=3 count=1 q=5",
@@ -323,6 +343,24 @@ def test_gen_sudoku_bad_flag(capsys):
     code, _, stderr = run(capsys, "gen-sudoku", "--q", "3", "--flag", "1,2,3")
     assert code == 2
     assert "comma-separated" in stderr
+
+
+# int() alone would read each of these as the valid datum 2,1,0,2,1 (or 10).
+@pytest.mark.parametrize("flag", ["2,1,0,2,+1", "2,1,0,٢,1", "2,1_0,0,2,1"])
+def test_gen_sudoku_refuses_numbers_outside_the_format(capsys, flag):
+    code, stdout, stderr = run(capsys, "gen-sudoku", "--q", "3", "--flag", flag)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: line 1: --flag needs 5 comma-separated integers, got {flag!r}\n"
+
+
+def test_gen_sudoku_bad_flag_is_quoted_by_its_start(capsys):
+    flag = "2,1,0,2," + "1" * 5000
+    code, stdout, stderr = run(capsys, "gen-sudoku", "--q", "3", "--flag", flag)
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        f"error: line 1: --flag needs 5 comma-separated integers, got {flag[:40]!r}"
+        "... (5008 characters)\n"
+    )
 
 
 @pytest.mark.parametrize(

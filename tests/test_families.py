@@ -18,6 +18,7 @@ from sudoku_ooa import (
     select_S,
     substrong_family,
 )
+from sudoku_ooa.families import SUBSTRONG_ALPHA
 
 
 def brute_inverse(field, a):
@@ -33,7 +34,7 @@ def test_substrong_family_gf2():
 
 def test_substrong_family_gf3_matches_known_pair():
     fam = substrong_family(3)
-    assert fam.alpha == 2
+    assert SUBSTRONG_ALPHA == 2
     assert [(d.a, d.b, d.c, d.d, d.beta) for d in fam.data] == [
         (2, 1, 0, 2, 1),
         (1, 1, 0, 1, 2),
@@ -43,7 +44,6 @@ def test_substrong_family_gf3_matches_known_pair():
 def test_substrong_family_gf4():
     fam = substrong_family(4)
     f = fam.field
-    assert fam.alpha == 2
     assert len(fam.data) == 3
     assert [d.beta for d in fam.data] == [1, 2, 3]
     for d in fam.data:
@@ -60,7 +60,7 @@ def test_substrong_family_size(q):
 
 def test_big_family_gf7():
     fam = big_family(7, (1, 3, 5))
-    assert fam.members == (1, 3, 5)
+    assert tuple(d.beta for d in fam.data) == (1, 3, 5)
     f = fam.field
     for d, i in zip(fam.data, (1, 3, 5)):
         assert (d.a, d.b, d.c, d.beta) == (i, 1, 0, i)
@@ -123,7 +123,7 @@ def test_construct_family_dispatch():
     assert fam9.method == "big"
     assert len(fam9.data) == 4
     fam7 = construct_family(7, 5)
-    assert fam7.members == (1, 3, 5)
+    assert tuple(d.beta for d in fam7.data) == (1, 3, 5)
 
 
 def test_construct_family_out_of_range():
@@ -142,7 +142,7 @@ def test_construct_family_out_of_range():
 def test_truncation_is_canonical_prefix():
     full = select_S(9)
     fam = construct_family(9, 5)
-    assert fam.members == full[:3]
+    assert tuple(d.beta for d in fam.data) == full[:3]
 
 
 def test_max_guaranteed_s():

@@ -65,6 +65,9 @@ def test_flags_parse_errors_carry_datum_line():
         flags_from_text("flags q=3 count=1\n1 1 1 1 1\n")
     with pytest.raises(ParseError, match="line 1: 6 is not a prime power"):
         flags_from_text("flags q=6 count=1\n1 1 0 1 1\n")
+    # int() alone reads '1_0' as 10, '١' (Arabic-Indic one) as 1 and '+1' as 1.
+    with pytest.raises(ParseError, match=r"^line 2: non-integer entry in '1_0 1 0 ١ \+1'$"):
+        flags_from_text("flags q=11 count=1\n1_0 1 0 ١ +1\n")
 
 
 @pytest.mark.parametrize(
@@ -119,4 +122,7 @@ def test_array_parse_errors():
         array_from_text("\n".join(lines) + "\n")
     lines[3] = lines[3].replace("7", "-1", 1)
     with pytest.raises(ParseError, match=r"^line 4: entry -1 outside 0\.\.1$"):
+        array_from_text("\n".join(lines) + "\n")
+    lines[3] = lines[3].replace("-1", "\uff10", 1)  # fullwidth zero
+    with pytest.raises(ParseError, match=r"^line 4: non-integer entry in "):
         array_from_text("\n".join(lines) + "\n")

@@ -69,7 +69,7 @@ def test_minimal_modulus(q, expected):
     # Minimality: every smaller coefficient index gives a reducible polynomial.
     own_index = f.index(f.modulus[: f.k])
     for idx in range(own_index):
-        coeffs = f.coeffs(idx) + (1,)
+        coeffs = tuple(_digits(idx, f.p, f.k)) + (1,)
         assert not brute_irreducible(coeffs, f.p)
 
 
@@ -86,6 +86,9 @@ def test_arith_examples():
     assert f4.inv(2) == 3
     f7 = make_field(7)
     assert f7.add(3, 5) == 1
+    assert f7.pow(3, 6) == 1 and f7.pow(3, 0) == 1
+    with pytest.raises(ValueError, match="negative exponent"):
+        f7.pow(3, -1)
 
 
 def test_division_by_zero():
@@ -100,9 +103,9 @@ def test_division_by_zero():
 def test_index_coeff_roundtrip(q):
     f = make_field(q)
     for e in f.elements():
-        assert f.index(f.coeffs(e)) == e
-    assert f.coeffs(0) == (0,) * f.k
-    assert f.coeffs(1) == (1,) + (0,) * (f.k - 1)
+        assert f.index(_digits(e, f.p, f.k)) == e
+    assert f.index((0,) * f.k) == 0
+    assert f.index((1,) + (0,) * (f.k - 1)) == 1
 
 
 @pytest.mark.parametrize("q", DESK_ORDERS)

@@ -24,7 +24,7 @@ from sudoku_ooa import (
     verify,
 )
 from sudoku_ooa.ooa import MAX_ENTRIES, check_size
-from sudoku_ooa.strong import FlagData
+from sudoku_ooa.sudoku import FlagData
 
 
 def banded(q, rows):

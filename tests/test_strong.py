@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 import fixtures as fx
+import sudoku_ooa
 from sudoku_ooa import (
     BandedArray,
     FlagData,
@@ -31,12 +34,37 @@ from sudoku_ooa import (
     substrong_family,
     top_justified_sets,
 )
+from sudoku_ooa.families import SUBSTRONG_ALPHA
 from sudoku_ooa.strong import CONDITION_LABELS, ROW_SETS
 
 
 def pair3_data():
     f = make_field(3)
     return [FlagData(f, 2, 1, 0, 2, 1), FlagData(f, 1, 1, 0, 1, 2)]
+
+
+def _imports_strong(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.rpartition(".")[2] == "strong":
+                return True
+            if module in ("", "sudoku_ooa") and any(a.name == "strong" for a in node.names):
+                return True
+        if isinstance(node, ast.Import) and any(a.name == "sudoku_ooa.strong" for a in node.names):
+            return True
+    return False
+
+
+def test_only_cli_and_init_import_strong():
+    # The checkers are a leaf: the flag datum and its rule live in sudoku.
+    package = Path(sudoku_ooa.__file__).parent
+    importers = {
+        path.stem
+        for path in package.glob("*.py")
+        if _imports_strong(ast.parse(path.read_text(), str(path)))
+    }
+    assert importers == {"cli", "__init__"}
 
 
 def test_gamma_composite_example_gf5():
@@ -52,7 +80,7 @@ def test_gamma_composite_constant_for_substrong_family():
     for q in (3, 5):
         fam = substrong_family(q)
         f = fam.field
-        alpha = fam.alpha
+        alpha = SUBSTRONG_ALPHA
         one_minus = f.sub(1, alpha)
         expected = (
             (0, f.inv(one_minus)),

@@ -21,10 +21,10 @@ from linalg_oracle import contains, span_elements, vec_add
 from sudoku_ooa import (
     DimensionError,
     DimensionMismatch,
+    FlagData,
     InvalidFlagData,
     NotSudokuFlag,
     are_orthogonal,
-    flag_from_data,
     flag_from_vectors,
     generate,
     intersect,
@@ -79,10 +79,10 @@ def test_is_sudoku_subspace_dimension_error():
 
 def test_flag_from_data_builds_expected_spaces():
     f = make_field(3)
-    z2 = flag_from_data(f, ((1, 1), (0, 1)), 2)
+    z2 = FlagData(f, 1, 1, 0, 1, 2).flag()
     assert z2.symbol_space == subspace_from(f, [(1, 0, 1, 0), (0, 1, 1, 1)])
     assert z2.radix_space == subspace_from(f, [(1, 0, 1, 0), (0, 1, 1, 1), (0, 1, 0, 2)])
-    z1 = flag_from_data(f, ((2, 1), (0, 2)), 1)
+    z1 = FlagData(f, 2, 1, 0, 2, 1).flag()
     assert z1.symbol_space == subspace_from(f, [(1, 0, 2, 0), (0, 1, 1, 2)])
     assert z1.radix_space == subspace_from(f, [(1, 0, 2, 0), (0, 1, 1, 2), (0, 1, 0, 1)])
 
@@ -90,16 +90,16 @@ def test_flag_from_data_builds_expected_spaces():
 def test_flag_from_data_rejects_each_violation_distinctly():
     f = make_field(3)
     with pytest.raises(InvalidFlagData, match="b of the matrix datum is zero"):
-        flag_from_data(f, ((1, 0), (0, 1)), 1)
+        FlagData(f, 1, 0, 0, 1, 1)
     with pytest.raises(InvalidFlagData, match="beta is zero"):
-        flag_from_data(f, ((1, 1), (0, 1)), 0)
+        FlagData(f, 1, 1, 0, 1, 0)
     with pytest.raises(InvalidFlagData, match="singular"):
-        flag_from_data(f, ((1, 1), (1, 1)), 1)
+        FlagData(f, 1, 1, 1, 1, 1)
 
 
 def test_subspace_gamma_roundtrip():
     f = make_field(5)
-    flag = flag_from_data(f, ((2, 3), (1, 3)), 2)
+    flag = FlagData(f, 2, 3, 1, 3, 2).flag()
     assert subspace_gamma(flag.symbol_space) == ((2, 3), (1, 3))
     assert subspace_gamma(subspace_from(f, [(0, 0, 1, 0), (0, 0, 0, 1)])) is None
 
@@ -116,7 +116,7 @@ def test_generate_flag_demo_radix_and_bijection():
 
 def test_generate_is_sudoku():
     f = make_field(2)
-    flag = flag_from_data(f, ((1, 1), (0, 1)), 1)
+    flag = FlagData(f, 1, 1, 0, 1, 1).flag()
     got = generate(flag)
     assert got.side == 4
     assert is_sudoku(got)
@@ -197,8 +197,8 @@ def test_composite_symbol_classes_are_intersection_cosets():
     # solution, each of its symbol classes is a coset of the radix-space
     # intersection.
     f = make_field(3)
-    z1 = flag_from_data(f, ((2, 1), (0, 2)), 1)
-    z2 = flag_from_data(f, ((1, 1), (0, 1)), 2)
+    z1 = FlagData(f, 2, 1, 0, 2, 1).flag()
+    z2 = FlagData(f, 1, 1, 0, 1, 2).flag()
     m1, m2 = generate(z1), generate(z2)
     n = composite(radix(m1), radix(m2))
     assert is_sudoku(n)
@@ -284,7 +284,7 @@ def test_flag_form_characterization_exhaustive(q):
     canonical = set()
     for a, b, c, d, beta in itertools.product(range(q), repeat=5):
         try:
-            flag = flag_from_data(f, ((a, b), (c, d)), beta)
+            flag = FlagData(f, a, b, c, d, beta).flag()
         except InvalidFlagData:
             continue
         canonical.add((flag.symbol_space.basis, flag.radix_space.basis))
