@@ -123,6 +123,14 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _int(text: str) -> int:
+    """An option's integer, read as the file parsers read one (files.parse_int)."""
+    return parse_int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value: '...'"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sudoku-ooa",
@@ -132,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="construct a family and emit an artifact")
-    p.add_argument("--q", type=int, required=True, help="alphabet size (prime power)")
-    p.add_argument("--s", type=int, required=True, help="number of bands")
+    p.add_argument("--q", type=_int, required=True, help="alphabet size (prime power)")
+    p.add_argument("--s", type=_int, required=True, help="number of bands")
     p.add_argument(
         "--emit",
         choices=("flags", "grids", "array"),
@@ -161,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_family)
 
     p = sub.add_parser("gen-sudoku", help="generate one sudoku grid from a flag datum")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_int, required=True)
     p.add_argument("--flag", required=True, metavar="a,b,c,d,beta")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_gen_sudoku)
 
     p = sub.add_parser("info", help="print field and construction parameters")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_int, required=True)
     p.set_defaults(func=_cmd_info)
 
     return parser

@@ -138,9 +138,6 @@ class Field:
             idx = idx * self.p + c % self.p
         return idx
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- arithmetic --
 
     def add(self, a: int, b: int) -> int:
@@ -165,11 +162,6 @@ class Field:
         if a == 0:
             raise DivisionByZero("inverse of zero")
         return self._inv_table[a]
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise DivisionByZero("division by zero")
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
         """a**n for n >= 0, by repeated squaring."""

@@ -9,14 +9,20 @@ contribute 0 or 2 rows (mode ``sa``).
 
 Verification works on packed rows: each row is one integer with a fixed-width
 slot per column, so a row set's q^4 tuple keys come out of a few big-integer
-operations instead of a loop over columns.  ``check_size`` refuses arrays
+operations instead of a loop over columns.  A scan of at least
+``PARALLEL_WORK`` key tuples (row sets x q^4) on more than one CPU is split
+into up to ``MAX_WORKERS`` contiguous blocks of row sets: the calling process
+scans the first and a worker process (``workers``) each further one, and the
+answer is the one a single process gives.  ``check_size`` refuses arrays
 above the ``MAX_ENTRIES`` memory budget; the array parser and every command
 that builds an array call it before building anything.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
 
@@ -29,6 +35,13 @@ RowSet = frozenset  # of (band, depth) labels, both 1-based
 # Memory budget in array entries (2s*q^4).  It admits every guaranteed (q, s)
 # up to q = 27, whose max_s array has 15.9 M entries.
 MAX_ENTRIES = 2**24
+
+# A scan of this many key tuples (row sets x q^4 columns) or more is split
+# across processes.  At q = 16 an ooa scan (615 sets, 40.3 M tuples) takes
+# about 3.3 s in one process; at q = 13 (7.6 M) a worker's start-up, about
+# 0.1 s, eats most of what it saves.
+PARALLEL_WORK = 2**24
+MAX_WORKERS = 4  # each worker holds a copy of the packed array
 
 
 class MalformedArray(ValueError):
@@ -73,11 +86,14 @@ def _slot(q: int) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class BandedArray:
-    """2s x q^4 array over 0..q-1; row (band, depth) sits at 2(band-1)+depth-1."""
+    """2s x q^4 array over 0..q-1; row (band, depth) sits at 2(band-1)+depth-1.
+
+    Rows are tuples, or bytes in a scan worker, which reads them raw.
+    """
 
     q: int
     s: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[Sequence[int], ...]
 
     def __post_init__(self):
         q, s = self.q, self.s
@@ -254,18 +270,68 @@ def verify(array: BandedArray, mode: str = "ooa") -> VerifyResult:
     Mode ``ooa`` checks every top-justified set, ``sa`` only the sudoku
     top-justified ones.  Returns the first failing set with a duplicated
     tuple and its two column indices.
+
+    The sets are scanned in contiguous blocks, one per process (see
+    _worker_count): this process scans block 0 and a worker (``workers``)
+    each further block.  The hit of the lowest block that has one is the
+    answer, so it is the first failing set whatever the number of processes.
+    Every worker is killed once a lower block has failed, and reaped before
+    this returns or raises.  A worker that exits non-zero raises OSError, a
+    malformed reply ValueError.
     """
     if mode not in ("ooa", "sa"):
         raise ValueError(f"unknown mode {mode!r}")
-    # Packed once per call, not cached on the array: at q = 16 the packed rows
-    # take 2.6 MB, which a caller such as `construct` would otherwise keep
-    # alive while it writes the array out.
-    first_duplicate = duplicate_finder(array)
-    for rowset in top_justified_sets(array.s):
-        if mode == "sa" and classify(rowset) != "sudoku-TJ":
-            continue
-        hit = first_duplicate(rowset)
-        if hit is not None:
-            dup, first, second = hit
-            return VerifyResult(False, rowset, dup, first, second)
-    return VerifyResult(True)
+    sets = [
+        rs for rs in top_justified_sets(array.s) if mode == "ooa" or classify(rs) == "sudoku-TJ"
+    ]
+    w = _worker_count(len(sets), array.q)
+    blocks = [sets[len(sets) * k // w : len(sets) * (k + 1) // w] for k in range(w)]
+    procs = []
+    try:
+        if w > 1:
+            # Imported only for a split scan: its modules (json, subprocess)
+            # would add several ms to every start of the program.
+            from . import workers
+
+            for block in blocks[1:]:
+                procs.append(workers.start(array, block))
+        # Packed once per call, not cached on the array: at q = 16 the packed
+        # rows take 2.6 MB, which a caller such as `construct` would otherwise
+        # keep alive while it writes the array out.
+        first_duplicate = duplicate_finder(array)
+        hit = None
+        for rowset in blocks[0]:
+            found = first_duplicate(rowset)
+            if found is not None:
+                hit = rowset, found
+                break
+        for proc, block in zip(procs, blocks[1:]):
+            if hit is not None:
+                break
+            hit = workers.first_hit(proc, block, first_duplicate)
+    finally:
+        for proc in procs:
+            proc.kill()  # does nothing to a worker already reaped
+        for proc in procs:
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+    if hit is None:
+        return VerifyResult(True)
+    rowset, (dup, first, second) = hit
+    return VerifyResult(False, rowset, dup, first, second)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(sets: int, q: int) -> int:
+    """Processes for a scan of `sets` row sets of q^4 columns."""
+    if sets * q**STRENGTH < PARALLEL_WORK:
+        return 1
+    return min(MAX_WORKERS, _cpus(), sets)

@@ -127,16 +127,6 @@ class ConditionReport:
     def passed(self) -> bool:
         return all(e.status != "FAIL" for e in self.entries)
 
-    def status(self, label: str, indices: tuple[int, ...] = ()) -> str:
-        for e in self.entries:
-            if e.label == label and e.indices == indices:
-                return e.status
-        raise KeyError((label, indices))
-
-    def condition_entries(self) -> tuple[ConditionResult, ...]:
-        """Entries for the tiered conditions, mutual-orthogonality ones aside."""
-        return tuple(e for e in self.entries if e.label != "orth")
-
     def to_text(self) -> str:
         lines = []
         for e in self.entries:

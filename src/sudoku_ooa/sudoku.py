@@ -54,9 +54,6 @@ class Grid:
     def side(self) -> int:
         return self.q * self.q
 
-    def cell(self, r: int, c: int) -> int:
-        return self.rows[r][c]
-
 
 @dataclass(frozen=True)
 class Flag:

@@ -363,6 +363,27 @@ def test_gen_sudoku_bad_flag_is_quoted_by_its_start(capsys):
     )
 
 
+# int() alone would read each of these as 11 or 3.
+@pytest.mark.parametrize("value", ["1_1", "+3", "١١"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--s", "3", "--q"],
+        ["construct", "--q", "3", "--s"],
+        ["gen-sudoku", "--flag", "2,1,0,2,1", "--q"],
+        ["info", "--q"],
+    ],
+    ids=["construct-q", "construct-s", "gen-sudoku-q", "info-q"],
+)
+def test_numeric_options_refuse_numbers_outside_the_format(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument {argv[-1]}: invalid int value: {value!r}\n")
+
+
 @pytest.mark.parametrize(
     "q,expected_max", [(2, 3), (3, 4), (9, 6)]
 )

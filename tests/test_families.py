@@ -22,7 +22,7 @@ from sudoku_ooa.families import SUBSTRONG_ALPHA
 
 
 def brute_inverse(field, a):
-    return next(b for b in field.elements() if field.mul(a, b) == 1)
+    return next(b for b in range(field.q) if field.mul(a, b) == 1)
 
 
 def test_substrong_family_gf2():

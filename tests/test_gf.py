@@ -96,13 +96,13 @@ def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         f.inv(0)
     with pytest.raises(DivisionByZero):
-        f.div(3, 0)
+        f.mul(3, f.inv(0))
 
 
 @pytest.mark.parametrize("q", DESK_ORDERS)
 def test_index_coeff_roundtrip(q):
     f = make_field(q)
-    for e in f.elements():
+    for e in range(f.q):
         assert f.index(_digits(e, f.p, f.k)) == e
     assert f.index((0,) * f.k) == 0
     assert f.index((1,) + (0,) * (f.k - 1)) == 1
@@ -111,7 +111,7 @@ def test_index_coeff_roundtrip(q):
 @pytest.mark.parametrize("q", DESK_ORDERS)
 def test_field_axioms_exhaustive(q):
     f = make_field(q)
-    els = list(f.elements())
+    els = list(range(f.q))
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
@@ -123,7 +123,7 @@ def test_field_axioms_exhaustive(q):
             assert f.mul(a, b) == f.mul(b, a)
             assert f.sub(a, b) == f.add(a, f.neg(b))
             if b:
-                assert f.mul(f.div(a, b), b) == a
+                assert f.mul(f.mul(a, f.inv(b)), b) == a
     for a, b, c in itertools.product(els, repeat=3):
         assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
@@ -174,9 +174,9 @@ def _schoolbook_mul(f, a, b):
 def test_tables_match_reference_arithmetic(q):
     f = make_field(q)
     p, k = f.p, f.k
-    for a in f.elements():
+    for a in range(f.q):
         assert f.neg(a) == _from_digits([-x for x in _digits(a, p, k)], p)
-        for b in f.elements():
+        for b in range(f.q):
             digit_sum = [x + y for x, y in zip(_digits(a, p, k), _digits(b, p, k))]
             assert f.add(a, b) == _from_digits(digit_sum, p)
             assert f.mul(a, b) == _schoolbook_mul(f, a, b)

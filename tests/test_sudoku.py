@@ -209,7 +209,7 @@ def test_composite_symbol_classes_are_intersection_cosets():
         for x2 in range(3):
             for x3 in range(3):
                 for x4 in range(3):
-                    sym = n.cell(3 * x1 + x2, 3 * x3 + x4)
+                    sym = n.rows[3 * x1 + x2][3 * x3 + x4]
                     locations.setdefault(sym, []).append((x1, x2, x3, x4))
     for sym, locs in locations.items():
         base = locs[0]
@@ -237,7 +237,7 @@ def test_generate_postconditions_random_flags(q):
             for x2 in range(q):
                 for x3 in range(q):
                     for x4 in range(q):
-                        sym = got.cell(q * x1 + x2, q * x3 + x4)
+                        sym = got.rows[q * x1 + x2][q * x3 + x4]
                         by_symbol.setdefault(sym, []).append((x1, x2, x3, x4))
         for sym, locs in by_symbol.items():
             base = locs[0]
