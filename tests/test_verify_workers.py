@@ -5,7 +5,8 @@ infinity to forbid it, and the CPU count to 3, so small arrays scan in three
 blocks: block 0 in this process, blocks 1 and 2 in workers.  Corrupted copies
 put the first failing set in a chosen block; workers of lower blocks are slowed
 down so that a later block's hit arrives first, and the earliest set must
-still win.  After every call, this process has no child left.
+still win.  After every call, this process has no child left (checked where
+/proc lists children).
 """
 
 from __future__ import annotations
@@ -35,11 +36,17 @@ def family_array(q: int) -> BandedArray:
     return assemble([generate(d.flag()) for d in fam.data])
 
 
-def children() -> set[str]:
+def children() -> set[str] | None:
+    """This process's child pids, or None where /proc does not list them."""
     paths = glob.glob("/proc/self/task/*/children")
     if not paths:
-        pytest.skip("no /proc/self/task/*/children on this system")
+        return None
     return {pid for path in paths for pid in Path(path).read_text().split()}
+
+
+def assert_no_new_child(before: set[str] | None) -> None:
+    if before is not None:
+        assert children() <= before
 
 
 def run_verify(monkeypatch, array, mode="ooa", parallel=True):
@@ -51,7 +58,7 @@ def run_verify(monkeypatch, array, mode="ooa", parallel=True):
         try:
             return ooa.verify(array, mode)
         finally:
-            assert children() <= before
+            assert_no_new_child(before)
 
 
 def mode_sets(s: int, mode: str) -> list:
@@ -202,7 +209,7 @@ def test_failed_worker_is_an_error_not_a_verdict(tmp_path, monkeypatch, capsys, 
     assert main(["verify", str(path)]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", message)
-    assert children() <= before
+    assert_no_new_child(before)
 
 
 def test_worker_replies_once_and_stops_when_orphaned(tmp_path):
