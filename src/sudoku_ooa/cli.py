@@ -1,8 +1,8 @@
 """Command-line front end: construct, verify, check-family, gen-sudoku, info.
 
 Exit codes: 0 on success/PASS, 1 on a verification FAIL, 2 on parse or
-domain errors.  All output is deterministic: identical invocations produce
-byte-identical files.
+domain errors, 130 on an interrupt (Ctrl-C).  All output is deterministic:
+identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -191,6 +191,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .gf import Field, find_generator, make_field
+from .gf import find_generator, make_field
 from .sudoku import FlagData
 
 
@@ -30,18 +30,6 @@ class FamilySpec:
 
     method: str  # "substrong" | "big"
     data: tuple[FlagData, ...]
-
-    @property
-    def field(self) -> Field:
-        return self.data[0].field
-
-    @property
-    def q(self) -> int:
-        return self.field.q
-
-    @property
-    def s(self) -> int:
-        return len(self.data) + 2
 
 
 # The substrong family's alpha: the smallest element outside {0, 1}.

@@ -173,4 +173,4 @@ def array_from_text(text: str) -> BandedArray:
     except ArrayTooLarge as exc:
         raise ParseError(1, str(exc)) from None
     body = _body_lines(text, 2 * s, "array")
-    return BandedArray(q, s, tuple(_int_row(ln, lineno, q**4, q) for lineno, ln in body))
+    return BandedArray(q, s, tuple(bytes(_int_row(ln, lineno, q**4, q)) for lineno, ln in body))

@@ -3,9 +3,11 @@
 An array has s bands of 2 rows over a q-ary alphabet and q^4 columns, one per
 grid location in lexicographic order.  The first two bands carry the location
 digits and every further band the radix and units digits of one grid's
-symbols.  Verification checks the exactly-once condition on every 4-row
-top-justified set (mode ``ooa``) or only on those whose bands past the second
-contribute 0 or 2 rows (mode ``sa``).
+symbols.  A row is stored as bytes, one byte per entry, however the array is
+built: by ``assemble``, by the array parser or in a scan worker.
+Verification checks the exactly-once condition on every 4-row top-justified
+set (mode ``ooa``) or only on those whose bands past the second contribute 0
+or 2 rows (mode ``sa``).
 
 Verification works on packed rows: each row is one integer with a fixed-width
 slot per column, so a row set's q^4 tuple keys come out of a few big-integer
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import os
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
 
@@ -88,12 +89,14 @@ def _slot(q: int) -> tuple[str, int]:
 class BandedArray:
     """2s x q^4 array over 0..q-1; row (band, depth) sits at 2(band-1)+depth-1.
 
-    Rows are tuples, or bytes in a scan worker, which reads them raw.
+    Rows may be given as any sequences of ints; each is stored as bytes, one
+    byte per entry.  An entry is below q, and a q^4-column row fits in memory
+    only for q far below 256 (MAX_ENTRIES admits q <= 45).
     """
 
     q: int
     s: int
-    rows: tuple[Sequence[int], ...]
+    rows: tuple[bytes, ...]
 
     def __post_init__(self):
         q, s = self.q, self.s
@@ -107,8 +110,9 @@ class BandedArray:
                 raise MalformedArray(f"row {r}: expected {ncols} columns, got {len(row)}")
             if min(row) < 0 or max(row) >= q:
                 raise MalformedArray(f"row {r}: entry outside 0..{q - 1}")
+        object.__setattr__(self, "rows", tuple(map(bytes, self.rows)))
 
-    def row(self, band: int, depth: int) -> tuple[int, ...]:
+    def row(self, band: int, depth: int) -> bytes:
         return self.rows[2 * (band - 1) + (depth - 1)]
 
 
@@ -127,10 +131,10 @@ def assemble(grids) -> BandedArray:
     # Column m is the packed location ((x1*q + x2)*q + x3)*q + x4, which is
     # also row*q^2 + column of the location's grid cell.
     columns = range(q**4)
-    rows = [tuple(m // q**e % q for m in columns) for e in (3, 2, 1, 0)]
+    rows = [bytes(m // q**e % q for m in columns) for e in (3, 2, 1, 0)]
     for g in grids:
         cells = list(chain.from_iterable(g.rows))
-        rows += [tuple(sym // q for sym in cells), tuple(sym % q for sym in cells)]
+        rows += [bytes(sym // q for sym in cells), bytes(sym % q for sym in cells)]
     return BandedArray(q, len(grids) + 2, tuple(rows))
 
 
@@ -234,11 +238,11 @@ def duplicate_finder(array: BandedArray):
 
     A hit is (tuple, col_a, col_b), the two columns that carry the tuple.
     Each row is packed once into one integer holding entry m in slot m (see
-    _slot); entries are below q <= 256, so each is one byte, placed at the
-    low end of its slot in native byte order.  Column m's key is
-    ((a*q + b)*q + c)*q + d over the set's rows in label order, and Horner's
-    rule on the packed rows forms all q^4 keys at once, one per slot; every
-    key is below q^4, so no slot carries into the next.
+    _slot): the row's byte m sits at the low end of slot m in native byte
+    order.  Column m's key is ((a*q + b)*q + c)*q + d over the set's rows in
+    label order, and Horner's rule on the packed rows forms all q^4 keys at
+    once, one per slot; every key is below q^4, so no slot carries into the
+    next.
     """
     q = array.q
     code, width = _slot(q)
@@ -246,7 +250,7 @@ def duplicate_finder(array: BandedArray):
     packed = []
     for row in array.rows:
         slots = bytearray(len(row) * width)
-        slots[low::width] = bytes(row)
+        slots[low::width] = row
         packed.append(int.from_bytes(slots, sys.byteorder))
 
     def first_duplicate(rowset) -> tuple | None:

@@ -3,11 +3,12 @@
 A worker is a fresh interpreter, started with ``subprocess`` rather than a
 pool, so nothing outlives the call that started it.  Its stdin is an
 anonymous file holding a JSON header line, {"q", "s", "parent", "sets"}, then
-the array's 2s rows as raw bytes of q^4 entries each.  It rebuilds the
-array, scans its sets in order with ``ooa.duplicate_finder``, and replies on
-its stdout pipe with one JSON line, {"first": <index in its block of the
-first failing set> | null}.  It exits without a reply at its next set once
-the process named in "parent" is no longer its parent.
+the array's 2s rows as the array stores them, q^4 bytes each.  It rebuilds
+the array from those bytes, scans its sets in order with
+``ooa.duplicate_finder``, and replies on its stdout pipe with one JSON line,
+{"first": <index in its block of the first failing set> | null}.  It exits
+without a reply at its next set once the process named in "parent" is no
+longer its parent.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def start(array: BandedArray, block) -> subprocess.Popen:
     with tempfile.TemporaryFile() as inp:
         inp.write(json.dumps(header).encode() + b"\n")
         for row in array.rows:
-            inp.write(bytes(row))
+            inp.write(row)
         inp.seek(0)
         return subprocess.Popen(ARGV, stdin=inp, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 

@@ -236,7 +236,7 @@ def test_criterion_6_substrong_maximality():
         for entry in report.entries:
             if entry.label in ("i", "ii.a", "ii.b", "ii.c"):
                 assert entry.status == "PASS", (q, entry)
-        f = fam.field
+        f = fam.data[0].field
         alpha = SUBSTRONG_ALPHA
         inv_alpha = f.inv(alpha)
         for di, dj in itertools.permutations(fam.data, 2):

@@ -6,7 +6,7 @@ import pytest
 
 import fixtures as fx
 from grid_oracle import is_sudoku
-from sudoku_ooa import BandedArray, array_from_text, array_to_text, grid_from_text, verify
+from sudoku_ooa import BandedArray, array_from_text, array_to_text, grid_from_text, ooa, verify
 from sudoku_ooa.cli import main
 
 
@@ -102,6 +102,22 @@ def test_verify_parse_error(tmp_path, capsys):
     code, _, stderr = run(capsys, "verify", str(bad))
     assert code == 2
     assert "line" in stderr
+
+
+def test_interrupt_is_one_line_and_exit_130(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "a.txt"
+    assert main(["construct", "--q", "3", "--s", "4", "--out", str(path)]) == 0
+    capsys.readouterr()
+
+    def interrupted_finder(array):
+        def scan(rowset):
+            raise KeyboardInterrupt
+
+        return scan
+
+    monkeypatch.setattr(ooa, "duplicate_finder", interrupted_finder)
+    code, stdout, stderr = run(capsys, "verify", str(path))
+    assert (code, stdout, stderr) == (130, "", "error: interrupted\n")
 
 
 _BUDGET = "a 2s x q^4 array is limited to 16777216 entries"

@@ -27,7 +27,7 @@ def brute_inverse(field, a):
 
 def test_substrong_family_gf2():
     fam = substrong_family(2)
-    assert fam.s == 3
+    assert len(fam.data) + 2 == 3
     (d,) = fam.data
     assert (d.a, d.b, d.c, d.d, d.beta) == (1, 1, 0, 1, 1)
 
@@ -43,7 +43,7 @@ def test_substrong_family_gf3_matches_known_pair():
 
 def test_substrong_family_gf4():
     fam = substrong_family(4)
-    f = fam.field
+    f = fam.data[0].field
     assert len(fam.data) == 3
     assert [d.beta for d in fam.data] == [1, 2, 3]
     for d in fam.data:
@@ -61,7 +61,7 @@ def test_substrong_family_size(q):
 def test_big_family_gf7():
     fam = big_family(7, (1, 3, 5))
     assert tuple(d.beta for d in fam.data) == (1, 3, 5)
-    f = fam.field
+    f = fam.data[0].field
     for d, i in zip(fam.data, (1, 3, 5)):
         assert (d.a, d.b, d.c, d.beta) == (i, 1, 0, i)
         assert d.d == brute_inverse(f, i)
@@ -159,7 +159,7 @@ def test_max_guaranteed_s():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_construct_family_reaches_exactly_max_guaranteed_s(q):
     top = max_guaranteed_s(q)
-    assert construct_family(q, top).s == top
+    assert len(construct_family(q, top).data) + 2 == top
     message = r"OOA\(4,4,2,2\) does not exist" if q == 2 else f"; the largest is {top}$"
     with pytest.raises(SOutOfRange, match=message):
         construct_family(q, top + 1)

@@ -105,7 +105,10 @@ def test_array_roundtrip():
     arr = assemble([fx.PAIR3_M1, fx.PAIR3_M2])
     text = array_to_text(arr)
     assert text.splitlines()[0] == "ooa t=4 s=4 l=2 v=3"
-    assert array_from_text(text) == arr
+    parsed = array_from_text(text)
+    assert parsed == arr
+    assert type(parsed.rows) is tuple
+    assert all(type(row) is bytes for row in parsed.rows)
 
 
 def test_array_parse_errors():
@@ -120,7 +123,10 @@ def test_array_parse_errors():
     lines[3] = lines[3].replace("1", "7", 1)
     with pytest.raises(ParseError, match=r"^line 4: entry 7 outside 0\.\.1$"):
         array_from_text("\n".join(lines) + "\n")
-    lines[3] = lines[3].replace("7", "-1", 1)
+    lines[3] = lines[3].replace("7", "256", 1)  # beyond a byte as well
+    with pytest.raises(ParseError, match=r"^line 4: entry 256 outside 0\.\.1$"):
+        array_from_text("\n".join(lines) + "\n")
+    lines[3] = lines[3].replace("256", "-1", 1)
     with pytest.raises(ParseError, match=r"^line 4: entry -1 outside 0\.\.1$"):
         array_from_text("\n".join(lines) + "\n")
     lines[3] = lines[3].replace("-1", "\uff10", 1)  # fullwidth zero

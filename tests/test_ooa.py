@@ -27,13 +27,30 @@ from sudoku_ooa.ooa import MAX_ENTRIES, check_size
 from sudoku_ooa.sudoku import FlagData
 
 
-def banded(q, rows):
-    rows = tuple(tuple(r) for r in rows)
-    return BandedArray(q, len(rows) // 2, rows)
+# Row shapes a caller may pass.  "mix" is bytes rows with one tuple among
+# them, as a copy with one row edited is.
+ROW_SHAPES = {
+    "tuple": lambda rows: tuple(map(tuple, rows)),
+    "list": lambda rows: [list(r) for r in rows],
+    "bytes": lambda rows: tuple(map(bytes, rows)),
+    "mix": lambda rows: (bytes(rows[0]), tuple(rows[1]), *map(bytes, rows[2:])),
+}
+
+
+def assert_byte_rows(arr):
+    assert type(arr.rows) is tuple
+    assert all(type(row) is bytes for row in arr.rows)
+
+
+def banded(q, rows, shape="tuple"):
+    arr = BandedArray(q, len(rows) // 2, ROW_SHAPES[shape](rows))
+    assert_byte_rows(arr)
+    return arr
 
 
 def test_assemble_matches_known_array():
     arr = assemble([fx.SA42_M1, fx.SA42_M2])
+    assert_byte_rows(arr)
     assert arr.q == 2 and arr.s == 4
     assert [list(r) for r in arr.rows] == fx.SA42_ARRAY
     # Column for location (0,0,1,1) carries the two symbols in base 2.
@@ -126,10 +143,13 @@ def test_verify_known_ooa():
     assert verify(arr, "sa").ok
 
 
-def test_verify_sa42_array():
-    arr = banded(2, fx.SA42_ARRAY)
+@pytest.mark.parametrize("shape", sorted(ROW_SHAPES))
+def test_verify_sa42_array(shape):
+    arr = banded(2, fx.SA42_ARRAY, shape)
+    assert arr == banded(2, fx.SA42_ARRAY, "bytes")
     assert verify(arr, "sa").ok
     result = verify(arr, "ooa")
+    assert result == verify(banded(2, fx.SA42_ARRAY, "bytes"), "ooa")
     assert not result.ok
     # Shallowest-first enumeration reports the four-top-rows set, whose
     # first duplicated tuple sits in the leftmost two columns.
@@ -198,14 +218,17 @@ def test_verify_witness_text():
 
 
 def test_banded_array_validation():
-    with pytest.raises(MalformedArray):
+    with pytest.raises(MalformedArray, match=r"^expected 6 rows, got 5$"):
         BandedArray(2, 3, tuple(tuple([0] * 16) for _ in range(5)))
-    with pytest.raises(MalformedArray):
+    with pytest.raises(MalformedArray, match=r"^row 0: expected 16 columns, got 15$"):
         BandedArray(2, 3, tuple(tuple([0] * 15) for _ in range(6)))
-    with pytest.raises(MalformedArray):
+    # Entries are checked before a row is stored as bytes, so one that bytes()
+    # would refuse (negative, 256 and above) gets the same message as 2.
+    for bad in (2, -1, 256, 1000):
         rows = [[0] * 16 for _ in range(6)]
-        rows[2][5] = 2
-        BandedArray(2, 3, tuple(tuple(r) for r in rows))
+        rows[2][5] = bad
+        with pytest.raises(MalformedArray, match=r"^row 2: entry outside 0\.\.1$"):
+            BandedArray(2, 3, tuple(tuple(r) for r in rows))
 
 
 def test_size_budget_admits_every_guaranteed_order_up_to_27():

@@ -84,7 +84,7 @@ def test_gamma_composite_example_gf5():
 def test_gamma_composite_constant_for_substrong_family():
     for q in (3, 5):
         fam = substrong_family(q)
-        f = fam.field
+        f = fam.data[0].field
         alpha = SUBSTRONG_ALPHA
         one_minus = f.sub(1, alpha)
         expected = (

@@ -212,22 +212,31 @@ def test_failed_worker_is_an_error_not_a_verdict(tmp_path, monkeypatch, capsys, 
     assert_no_new_child(before)
 
 
-def test_worker_replies_once_and_stops_when_orphaned(tmp_path):
+def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
     array = corrupted(family_array(3), [(1, 1)])
     sets = mode_sets(array.s, "ooa")
 
     def scan(parent):
         header = {"q": 3, "s": array.s, "parent": parent, "sets": [sorted(rs) for rs in sets]}
         inp = tmp_path / "in"
-        inp.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(map(bytes, array.rows)))
+        inp.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(array.rows))
         out = tmp_path / "out"
         with inp.open("rb") as i, out.open("w") as o:
             workers.serve(i, o)
         return out.read_text()
 
+    rebuilt = []
+
+    def recording_finder(arr):
+        rebuilt.append(arr)
+        return ooa.duplicate_finder(arr)
+
+    monkeypatch.setattr(workers, "duplicate_finder", recording_finder)
     assert ooa.duplicate_finder(array)(sets[0]) is not None
     assert scan(os.getppid()) == '{"first": 0}\n'
     assert scan(-1) == ""
+    assert rebuilt == [array, array]
+    assert all(type(row) is bytes for arr in rebuilt for row in arr.rows)
 
 
 def test_worker_count_threshold(monkeypatch):
