@@ -143,13 +143,10 @@ def test_verify_known_ooa():
     assert verify(arr, "sa").ok
 
 
-@pytest.mark.parametrize("shape", sorted(ROW_SHAPES))
-def test_verify_sa42_array(shape):
-    arr = banded(2, fx.SA42_ARRAY, shape)
-    assert arr == banded(2, fx.SA42_ARRAY, "bytes")
+def test_verify_sa42_array():
+    arr = banded(2, fx.SA42_ARRAY)
     assert verify(arr, "sa").ok
     result = verify(arr, "ooa")
-    assert result == verify(banded(2, fx.SA42_ARRAY, "bytes"), "ooa")
     assert not result.ok
     # Shallowest-first enumeration reports the four-top-rows set, whose
     # first duplicated tuple sits in the leftmost two columns.
@@ -159,6 +156,12 @@ def test_verify_sa42_array(shape):
     # A deeper set fails too.
     deeper = frozenset({(1, 1), (3, 1), (4, 1), (4, 2)})
     assert duplicate_finder(arr)(deeper) == ((0, 1, 1, 0), 2, 4)
+    # Every row shape gives the same array and the same verdicts.
+    for shape in ROW_SHAPES:
+        same = banded(2, fx.SA42_ARRAY, shape)
+        assert same == arr
+        assert verify(same, "ooa") == result
+        assert verify(same, "sa").ok
 
 
 def test_verify_assembled_pair3():
