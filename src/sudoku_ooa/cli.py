@@ -63,7 +63,10 @@ def _print_verdict(result: VerifyResult) -> int:
 def _cmd_construct(args) -> int:
     check_size(args.q, args.s)
     fam = construct_family(args.q, args.s)
-    grids = [generate(d.flag()) for d in fam.data]
+    # Under --emit array or flags each grid is dropped once assemble has read it.
+    grids = (generate(d.flag()) for d in fam.data)
+    if args.emit == "grids":
+        grids = list(grids)
     array = assemble(grids)
     result = verify(array, "ooa")
     if not result.ok:

@@ -84,17 +84,41 @@ def _header_fields(
     return out
 
 
-def _int_row(line: str, lineno: int, expected: int, bound: int | None = None) -> tuple[int, ...]:
-    """The line's integers: exactly ``expected`` of them, each in 0..bound-1 if given."""
+def _spellings(bound: int) -> dict[str, int]:
+    """Each of 0..bound-1 by its canonical decimal spelling, for ``_int_row``."""
+    return {str(x): x for x in range(bound)}
+
+
+def _int_row(
+    line: str, lineno: int, expected: int, spellings: dict[str, int] | None = None
+) -> tuple[int, ...]:
+    """The line's integers: exactly ``expected`` of them, and each in
+    0..bound-1 when ``spellings`` is ``_spellings(bound)``.
+
+    A line of canonical spellings alone is read by one table lookup per entry.
+    Any other line, whether it holds another spelling ``int`` takes (``007``,
+    ``-0``) or is malformed, is read by ``parse_ints`` and checked in full, so
+    what it gives or raises does not depend on the table.
+    """
+    if spellings is not None:
+        try:
+            row = tuple(map(spellings.__getitem__, line.split()))
+        except KeyError:
+            pass
+        else:
+            if len(row) == expected:
+                return row
     try:
         row = parse_ints(line)
     except ValueError:
         raise ParseError(lineno, f"non-integer entry in {_quote(line)}") from None
     if len(row) != expected:
         raise ParseError(lineno, f"expected {expected} entries, got {len(row)}")
-    if bound is not None and (min(row) < 0 or max(row) >= bound):
-        bad = next(x for x in row if not 0 <= x < bound)
-        raise ParseError(lineno, f"entry {bad} outside 0..{bound - 1}")
+    if spellings is not None:
+        bound = len(spellings)
+        if min(row) < 0 or max(row) >= bound:
+            bad = next(x for x in row if not 0 <= x < bound)
+            raise ParseError(lineno, f"entry {bad} outside 0..{bound - 1}")
     return row
 
 
@@ -109,8 +133,15 @@ def _body_lines(text: str, count: int, what: str) -> list[tuple[int, str]]:
 
 
 def grid_to_text(grid: Grid) -> str:
+    # A symbol outside 0..q^2-1 (a Grid does not check its entries) is
+    # printed by str() alone, as a lookup would miss it.
+    names = {x: str(x) for x in range(grid.side)}
     lines = [f"sudoku q={grid.q}"]
-    lines.extend(" ".join(str(x) for x in row) for row in grid.rows)
+    for row in grid.rows:
+        try:
+            lines.append(" ".join(map(names.__getitem__, row)))
+        except KeyError:
+            lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -123,7 +154,8 @@ def grid_from_text(text: str) -> Grid:
         raise ParseError(1, f"field order must be at most {MAX_ORDER}, got {q}")
     side = q * q
     body = _body_lines(text, side, "grid")
-    return Grid(q, tuple(_int_row(ln, lineno, side, side) for lineno, ln in body))
+    spellings = _spellings(side)
+    return Grid(q, tuple(_int_row(ln, lineno, side, spellings) for lineno, ln in body))
 
 
 def flags_to_text(data) -> str:
@@ -155,8 +187,9 @@ def flags_from_text(text: str) -> list[FlagData]:
 
 
 def array_to_text(array: BandedArray) -> str:
+    names = [str(x) for x in range(array.q)]  # every entry is below q
     lines = [ARRAY_HEADER.format(s=array.s, q=array.q)]
-    lines.extend(" ".join(str(x) for x in row) for row in array.rows)
+    lines.extend(" ".join(map(names.__getitem__, row)) for row in array.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -173,4 +206,7 @@ def array_from_text(text: str) -> BandedArray:
     except ArrayTooLarge as exc:
         raise ParseError(1, str(exc)) from None
     body = _body_lines(text, 2 * s, "array")
-    return BandedArray(q, s, tuple(bytes(_int_row(ln, lineno, q**4, q)) for lineno, ln in body))
+    spellings = _spellings(q)
+    return BandedArray(
+        q, s, tuple(bytes(_int_row(ln, lineno, q**4, spellings)) for lineno, ln in body)
+    )

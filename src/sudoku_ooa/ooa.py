@@ -105,12 +105,19 @@ class BandedArray:
         if len(self.rows) != 2 * s:
             raise MalformedArray(f"expected {2 * s} rows, got {len(self.rows)}")
         ncols = q**STRENGTH
+        entries = bytes(range(min(q, 256)))  # deleted from a row, they leave its bad entries
+        rows = []
         for r, row in enumerate(self.rows):
             if len(row) != ncols:
                 raise MalformedArray(f"row {r}: expected {ncols} columns, got {len(row)}")
-            if min(row) < 0 or max(row) >= q:
+            try:
+                row = bytes(row)  # a bytes row is not copied
+            except ValueError:  # an entry below 0 or above 255
+                raise MalformedArray(f"row {r}: entry outside 0..{q - 1}") from None
+            if row.translate(None, entries):
                 raise MalformedArray(f"row {r}: entry outside 0..{q - 1}")
-        object.__setattr__(self, "rows", tuple(map(bytes, self.rows)))
+            rows.append(row)
+        object.__setattr__(self, "rows", tuple(rows))
 
     def row(self, band: int, depth: int) -> bytes:
         return self.rows[2 * (band - 1) + (depth - 1)]
@@ -119,23 +126,37 @@ class BandedArray:
 def assemble(grids) -> BandedArray:
     """Array of the grids: location digits, then radix/units digits per grid.
 
-    Columns are indexed by location in lexicographic order.
+    Columns are indexed by location in lexicographic order.  The grids are
+    read one at a time, so an iterator of them need never be held at once.
     """
-    grids = list(grids)
-    if not grids:
-        raise GridCountZero("at least one grid is required")
-    q = grids[0].q
+    q = None
+    symbol_rows = []
     for g in grids:
+        if q is None:
+            q = g.q
+            radix = {sym: sym // q for sym in range(q * q)}
+            units = {sym: sym % q for sym in range(q * q)}
         if g.q != q or g.side != q * q:
             raise DimensionMismatch("grids must share one order q")
-    # Column m is the packed location ((x1*q + x2)*q + x3)*q + x4, which is
-    # also row*q^2 + column of the location's grid cell.
-    columns = range(q**4)
-    rows = [bytes(m // q**e % q for m in columns) for e in (3, 2, 1, 0)]
-    for g in grids:
         cells = list(chain.from_iterable(g.rows))
-        rows += [bytes(sym // q for sym in cells), bytes(sym % q for sym in cells)]
-    return BandedArray(q, len(grids) + 2, tuple(rows))
+        try:
+            symbol_rows += [
+                bytes(map(radix.__getitem__, cells)),
+                bytes(map(units.__getitem__, cells)),
+            ]
+        except KeyError:
+            # A symbol outside 0..q^2-1: its digits are computed, and bytes()
+            # or BandedArray refuses whichever is out of range.
+            symbol_rows += [bytes(sym // q for sym in cells), bytes(sym % q for sym in cells)]
+    if q is None:
+        raise GridCountZero("at least one grid is required")
+    # Column m is the packed location ((x1*q + x2)*q + x3)*q + x4, which is
+    # also row*q^2 + column of the location's grid cell: digit x_i holds for
+    # q^e consecutive columns, e = 4 - i, and the pattern repeats q^(3-e) times.
+    location_rows = [
+        b"".join(bytes([x]) * q**e for x in range(q)) * q ** (3 - e) for e in (3, 2, 1, 0)
+    ]
+    return BandedArray(q, len(symbol_rows) // 2 + 2, tuple(location_rows + symbol_rows))
 
 
 def top_justified_sets(s: int) -> list[RowSet]:

@@ -8,6 +8,7 @@ import fixtures as fx
 from sudoku_ooa import (
     BandedArray,
     FlagData,
+    Grid,
     ParseError,
     array_from_text,
     array_to_text,
@@ -24,6 +25,15 @@ def test_grid_roundtrip():
     text = grid_to_text(fx.PAIR3_M1)
     assert text.splitlines()[0] == "sudoku q=3"
     assert grid_from_text(text) == fx.PAIR3_M1
+
+
+def test_grid_text_prints_symbols_outside_the_alphabet_as_str():
+    # A Grid does not check its symbols; one outside 0..q^2-1 is printed as
+    # str() prints it, never as another symbol's name.
+    rows = [list(r) for r in fx.SA42_M1.rows]
+    rows[1][:3] = [-1, 4, 1000]
+    line = grid_to_text(Grid(2, tuple(map(tuple, rows)))).splitlines()[2]
+    assert line.split() == ["-1", "4", "1000", *map(str, rows[1][3:])]
 
 
 def test_grid_parse_errors():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import pytest
 
@@ -11,6 +12,7 @@ from sudoku_ooa import (
     ArrayTooLarge,
     BandedArray,
     DimensionMismatch,
+    Grid,
     GridCountZero,
     MalformedArray,
     NotTopJustified,
@@ -70,8 +72,46 @@ def test_assemble_single_grid_shape():
 def test_assemble_errors():
     with pytest.raises(GridCountZero):
         assemble([])
+    with pytest.raises(GridCountZero):
+        assemble(iter([]))
     with pytest.raises(DimensionMismatch):
         assemble([fx.SA42_M1, fx.PAIR3_M1])
+    with pytest.raises(DimensionMismatch):
+        assemble(iter([fx.SA42_M1, fx.PAIR3_M1]))
+
+
+def test_assemble_reads_its_grids_one_at_a_time():
+    # While the next grid is made, only the one read last may still be held,
+    # so `construct` never keeps every grid beside the array.
+    seen = []
+
+    def grids():
+        for _ in range(4):
+            assert all(ref() is None for ref in seen[:-1])
+            grid = Grid(3, fx.PAIR3_M1.rows)
+            seen.append(weakref.ref(grid))
+            yield grid
+            del grid
+
+    assert assemble(grids()) == assemble([fx.PAIR3_M1] * 4)
+
+
+@pytest.mark.parametrize("q", [3, 7])
+def test_assemble_refuses_symbols_outside_the_grid_alphabet(q):
+    # A symbol outside 0..q^2-1 has digits computed as q-ary quotient and
+    # remainder: bytes() refuses a digit below 0 or above 255, BandedArray
+    # one in q..255.  Row 4 is the first grid's radix row, row 6 the second's.
+    grid = fx.PAIR3_M1 if q == 3 else generate(FlagData(make_field(7), 1, 1, 0, 1, 1).flag())
+    byte_error = (ValueError, r"^bytes must be in range\(0, 256\)$")
+    digit_error = (MalformedArray, rf"^row {{row}}: entry outside 0\.\.{q - 1}$")
+    cases = {-1: byte_error, q * q: digit_error, q**4: digit_error if q**3 < 256 else byte_error}
+    for symbol, (error, message) in cases.items():
+        rows = [list(r) for r in grid.rows]
+        rows[1][2] = symbol
+        bad = Grid(q, tuple(map(tuple, rows)))
+        for grids, row in (([bad, grid], 4), ([grid, bad], 6)):
+            with pytest.raises(error, match=message.format(row=row)):
+                assemble(iter(grids))
 
 
 def test_top_justified_counts():
@@ -225,13 +265,16 @@ def test_banded_array_validation():
         BandedArray(2, 3, tuple(tuple([0] * 16) for _ in range(5)))
     with pytest.raises(MalformedArray, match=r"^row 0: expected 16 columns, got 15$"):
         BandedArray(2, 3, tuple(tuple([0] * 15) for _ in range(6)))
-    # Entries are checked before a row is stored as bytes, so one that bytes()
-    # would refuse (negative, 256 and above) gets the same message as 2.
-    for bad in (2, -1, 256, 1000):
-        rows = [[0] * 16 for _ in range(6)]
-        rows[2][5] = bad
-        with pytest.raises(MalformedArray, match=r"^row 2: entry outside 0\.\.1$"):
-            BandedArray(2, 3, tuple(tuple(r) for r in rows))
+    # An entry bytes() refuses (negative, 256 and above) gets the same message
+    # as one in q..255, whatever the row type.
+    for shape in (bytes, bytearray, tuple, list):
+        for bad in (2, 255, -1, 256, 1000):
+            if shape in (bytes, bytearray) and not 0 <= bad <= 255:
+                continue  # not a possible entry of these types
+            rows = [[0] * 16 for _ in range(6)]
+            rows[2][5] = bad
+            with pytest.raises(MalformedArray, match=r"^row 2: entry outside 0\.\.1$"):
+                BandedArray(2, 3, tuple(shape(r) for r in rows))
 
 
 def test_size_budget_admits_every_guaranteed_order_up_to_27():

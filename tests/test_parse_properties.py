@@ -1,13 +1,19 @@
-"""Property tests for the text parsers at q in {2, 3}.
+"""Property tests for the text parsers.
 
 Each parser round-trips its own output.  A mutated text either parses or
 raises ParseError, and the CLI turns a ParseError into exit 2 with the same
-``line N:`` message, never a traceback.
+``line N:`` message, never a traceback.  The array and grid readers, which
+read canonical spellings by table lookup, agree with the full reader of
+``row_oracle`` on texts with one token changed.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
+
+import row_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -150,5 +156,71 @@ def test_cli_exits_2_on_unparsable_input(tmp_path, capsys, command, kind):
             assert (code, out, err) == (2, "", f"error: {outcome}\n")
         else:
             assert code in (0, 1, 2)
+
+    check()
+
+
+# One-token edits: spellings int() takes that are not canonical, spellings the
+# parsers refuse, entries out of range, a tab separator, and a token added or
+# removed.  "{q}" is the row bound (q for an array, q^2 for a grid).
+_TOKEN_EDITS = ["007", "-0", "+1", "1_0", "\u0661", "{q}", "-1", "256", "tab", "extra", "missing"]
+
+
+def _random_grid(rng, q):
+    side = q * q
+    return Grid(q, tuple(tuple(rng.randrange(side) for _ in range(side)) for _ in range(side)))
+
+
+def _random_array(rng, q):
+    s = rng.randint(2, 3)
+    return BandedArray(q, s, tuple(bytes(rng.choices(range(q), k=q**4)) for _ in range(2 * s)))
+
+
+READERS = {
+    # kind: (orders, random value, bound of a row's entries, printer, reader, oracle)
+    "grid": ([2, 3, 4], _random_grid, lambda q: q * q, grid_to_text, grid_from_text,
+             row_oracle.grid_from_text),
+    "array": ([2, 3, 5, 11], _random_array, lambda q: q, array_to_text, array_from_text,
+              row_oracle.array_from_text),
+}
+
+
+@st.composite
+def token_edited(draw, kind):
+    orders, build, bound, to_text = READERS[kind][:4]
+    q = draw(st.sampled_from(orders))
+    lines = to_text(build(random.Random(draw(st.integers(0, 2**32))), q)).splitlines()
+    i = draw(st.integers(1, len(lines) - 1))
+    tokens = lines[i].split(" ")
+    j = draw(st.integers(0, len(tokens) - 1))
+    edit = draw(st.sampled_from(_TOKEN_EDITS))
+    if edit == "tab":
+        j = min(j, len(tokens) - 2)
+        tokens[j : j + 2] = [tokens[j] + "\t" + tokens[j + 1]]
+    elif edit == "extra":
+        tokens.insert(j, "0")
+    elif edit == "missing":
+        del tokens[j]
+    elif edit == "007":  # the same value, zero-padded
+        tokens[j] = "00" + tokens[j]
+    else:
+        tokens[j] = edit.format(q=bound(q))
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_table_reader_agrees_with_full_reader(kind):
+    read, oracle = READERS[kind][4:]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(token_edited(kind))
+    def check(text):
+        got, want = _parse_outcome(read, text), _parse_outcome(oracle, text)
+        if isinstance(want, ParseError):
+            assert isinstance(got, ParseError)
+            assert (str(got), got.line) == (str(want), want.line)
+        else:
+            assert got == want
 
     check()
