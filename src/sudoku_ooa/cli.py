@@ -93,7 +93,7 @@ def _cmd_check_family(args) -> int:
         report = check_algebraic(data)
     else:
         check_size(data[0].field.q, len(data) + 2)
-        array = assemble([generate(d.flag()) for d in data])
+        array = assemble(generate(d.flag()) for d in data)
         if args.level == "exhaustive":
             return _print_verdict(verify(array, "ooa"))
         report = check_combinatorial(array)

@@ -133,15 +133,8 @@ def _body_lines(text: str, count: int, what: str) -> list[tuple[int, str]]:
 
 
 def grid_to_text(grid: Grid) -> str:
-    # A symbol outside 0..q^2-1 (a Grid does not check its entries) is
-    # printed by str() alone, as a lookup would miss it.
-    names = {x: str(x) for x in range(grid.side)}
     lines = [f"sudoku q={grid.q}"]
-    for row in grid.rows:
-        try:
-            lines.append(" ".join(map(names.__getitem__, row)))
-        except KeyError:
-            lines.append(" ".join(map(str, row)))
+    lines.extend(" ".join(map(str, row)) for row in grid.rows)
     return "\n".join(lines) + "\n"
 
 

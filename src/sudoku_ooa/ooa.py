@@ -134,20 +134,21 @@ def assemble(grids) -> BandedArray:
     for g in grids:
         if q is None:
             q = g.q
-            radix = {sym: sym // q for sym in range(q * q)}
-            units = {sym: sym % q for sym in range(q * q)}
+            # Translation tables: byte sym maps to sym // q and to sym % q.
+            radix = bytes(sym // q for sym in range(256))
+            units = bytes(sym % q for sym in range(256))
         if g.q != q or g.side != q * q:
             raise DimensionMismatch("grids must share one order q")
-        cells = list(chain.from_iterable(g.rows))
         try:
-            symbol_rows += [
-                bytes(map(radix.__getitem__, cells)),
-                bytes(map(units.__getitem__, cells)),
-            ]
-        except KeyError:
-            # A symbol outside 0..q^2-1: its digits are computed, and bytes()
-            # or BandedArray refuses whichever is out of range.
+            symbols = bytes(chain.from_iterable(g.rows))
+        except (TypeError, ValueError):
+            # A symbol that is not an int in 0..255, as in every grid with
+            # q > 16: its digits are computed, and bytes() or BandedArray
+            # refuses a bad one as they always have.
+            cells = list(chain.from_iterable(g.rows))
             symbol_rows += [bytes(sym // q for sym in cells), bytes(sym % q for sym in cells)]
+        else:
+            symbol_rows += [symbols.translate(radix), symbols.translate(units)]
     if q is None:
         raise GridCountZero("at least one grid is required")
     # Column m is the packed location ((x1*q + x2)*q + x3)*q + x4, which is

@@ -28,12 +28,12 @@ def test_grid_roundtrip():
 
 
 def test_grid_text_prints_symbols_outside_the_alphabet_as_str():
-    # A Grid does not check its symbols; one outside 0..q^2-1 is printed as
-    # str() prints it, never as another symbol's name.
+    # A Grid does not check its symbols; one outside 0..q^2-1, or a float,
+    # is printed as str() prints it, never as another symbol's name.
     rows = [list(r) for r in fx.SA42_M1.rows]
-    rows[1][:3] = [-1, 4, 1000]
+    rows[1][:4] = [-1, 4, 1000, 1.0]
     line = grid_to_text(Grid(2, tuple(map(tuple, rows)))).splitlines()[2]
-    assert line.split() == ["-1", "4", "1000", *map(str, rows[1][3:])]
+    assert line.split() == ["-1", "4", "1000", "1.0"]
 
 
 def test_grid_parse_errors():

@@ -101,10 +101,13 @@ def test_assemble_refuses_symbols_outside_the_grid_alphabet(q):
     # A symbol outside 0..q^2-1 has digits computed as q-ary quotient and
     # remainder: bytes() refuses a digit below 0 or above 255, BandedArray
     # one in q..255.  Row 4 is the first grid's radix row, row 6 the second's.
+    # A float is refused even where it equals a symbol.
     grid = fx.PAIR3_M1 if q == 3 else generate(FlagData(make_field(7), 1, 1, 0, 1, 1).flag())
     byte_error = (ValueError, r"^bytes must be in range\(0, 256\)$")
     digit_error = (MalformedArray, rf"^row {{row}}: entry outside 0\.\.{q - 1}$")
+    float_error = (TypeError, r"^'float' object cannot be interpreted as an integer$")
     cases = {-1: byte_error, q * q: digit_error, q**4: digit_error if q**3 < 256 else byte_error}
+    cases[1.0] = float_error
     for symbol, (error, message) in cases.items():
         rows = [list(r) for r in grid.rows]
         rows[1][2] = symbol
