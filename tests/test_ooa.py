@@ -69,6 +69,17 @@ def test_assemble_single_grid_shape():
     assert all(len(r) == 16 for r in arr.rows)
 
 
+@pytest.mark.parametrize("q", [16, 17])
+def test_assemble_digits_match_arithmetic(q):
+    # q = 16 is the largest order whose symbols fit in a byte; at q = 17
+    # every grid holds symbols above 255.
+    grid = generate(FlagData(make_field(q), 1, 1, 0, 1, 1).flag())
+    cells = [sym for row in grid.rows for sym in row]
+    locations = [bytes(m // q**e % q for m in range(q**4)) for e in (3, 2, 1, 0)]
+    digits = [bytes(sym // q for sym in cells), bytes(sym % q for sym in cells)]
+    assert assemble(iter([grid])).rows == tuple(locations + digits)
+
+
 def test_assemble_errors():
     with pytest.raises(GridCountZero):
         assemble([])
