@@ -78,7 +78,12 @@ def rank(field: Field, rows) -> int:
 
 
 def nullspace(field: Field, rows, ncols: int) -> list[tuple[int, ...]]:
-    """Basis of the right nullspace of the matrix with the given rows."""
+    """Basis of the right nullspace of the matrix with the given rows.
+
+    Each basis vector is 1 at its free coordinate, which is its last nonzero
+    one: a reduced row is zero left of its pivot, so only pivot coordinates
+    left of the free one can be nonzero.
+    """
     reduced = rref(field, rows)
     pivots = [_pivot(r) for r in reduced]
     out = []
@@ -124,13 +129,6 @@ def trivial_intersection(a: Subspace, b: Subspace) -> bool:
     return rank(a.field, a.basis + b.basis) == a.dim + b.dim
 
 
-def unpack(q: int, m: int) -> Vec4:
-    m, x4 = divmod(m, q)
-    m, x3 = divmod(m, q)
-    x1, x2 = divmod(m, q)
-    return (x1, x2, x3, x4)
-
-
 def _functional_values(field: Field, phi) -> list[int]:
     """phi(x) = sum(phi_i * x_i) at every point x of F^4, in packed order."""
     q = field.q
@@ -144,21 +142,30 @@ def _functional_values(field: Field, phi) -> list[int]:
     return values
 
 
-def coset_index_map(sub: Subspace) -> tuple[list[Vec4], list[int]]:
-    """Minimal coset representatives plus a packed-vector -> coset-id table.
+def coset_index_map(radix_space: Subspace, symbol_space: Subspace) -> list[int]:
+    """Grid symbol q*phi(x) + psi(x) of every point x of F^4, in packed order.
 
-    Two points share a coset exactly when every functional vanishing on the
-    subspace takes the same value at both, so each point is labeled by the
-    values of a nullspace basis.  Ids number the labels in order of first
-    occurrence in packed (lexicographic) order, so each coset's first point
-    is its minimal representative and representatives come out sorted.
+    The symbol is the canonical coset label: the radix digit numbers the
+    cosets of the dim-3 ``radix_space`` V by their minimal points, and the
+    units digit numbers the cosets of the dim-2 ``symbol_space`` G inside
+    each radix coset the same way.  Both numbers are functional values.
+    phi vanishes on V and psi on G and at e_j; each is 1 at its last nonzero
+    coordinate, j for phi and k for psi, and k != j as psi_j = 0.  The point
+    m = d*e_k + (c - phi_k*d)*e_j has (phi, psi) = (c, d) and is the minimum
+    of that symbol coset: any other point of it first differs from m at a
+    coordinate i that is neither j nor k (agreeing with m before i, the
+    functional whose last nonzero coordinate is i fixes the i-th coordinate),
+    so there m_i = 0 is the smaller.  Inside the radix coset phi = c these
+    minima first differ at coordinate k, where they read d, so the units
+    digit is psi; the radix cosets' minima c*e_j are ordered by c, so the
+    radix digit is phi.  This holds for k > j and for k < j alike.
     """
-    field = sub.field
+    field = radix_space.field
+    (phi,) = nullspace(field, radix_space.basis, 4)
+    j = max(i for i, c in enumerate(phi) if c)
+    e_j = tuple(int(i == j) for i in range(4))
+    # e_j lies outside V (phi(e_j) = 1), so G + <e_j> has dimension 3.
+    (psi,) = nullspace(field, symbol_space.basis + (e_j,), 4)
     q = field.q
-    columns = [_functional_values(field, phi) for phi in nullspace(field, sub.basis, 4)]
-    labels = list(zip(*columns)) if columns else [()] * q**4
-    # Built back to front, so each label keeps its first (minimal) point.
-    first = dict(zip(reversed(labels), reversed(range(len(labels)))))
-    reps = sorted(first.values())
-    ids_of = {labels[m]: cid for cid, m in enumerate(reps)}
-    return [unpack(q, m) for m in reps], [ids_of[label] for label in labels]
+    radix, units = _functional_values(field, phi), _functional_values(field, psi)
+    return [q * r + u for r, u in zip(radix, units)]

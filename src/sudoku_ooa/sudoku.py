@@ -13,18 +13,10 @@ carry the radix digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 from itertools import chain
 
 from .gf import Field
-from .linalg import (
-    Subspace,
-    coset_index_map,
-    nullspace,
-    rank,
-    subspace_from,
-    trivial_intersection,
-)
+from .linalg import Subspace, coset_index_map, det, nullspace, rank, subspace_from
 
 
 class DimensionError(ValueError):
@@ -139,48 +131,39 @@ def subspace_gamma(sub: Subspace):
     return ((r1[2], r2[2]), (r1[3], r2[3]))
 
 
-@lru_cache(maxsize=None)
-def _blocking_spaces(field: Field) -> tuple[Subspace, Subspace, Subspace]:
-    # Offsets between locations sharing a column, a row, and a subsquare.
-    same_col = subspace_from(field, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    same_row = subspace_from(field, [(0, 0, 1, 0), (0, 0, 0, 1)])
-    same_box = subspace_from(field, [(0, 1, 0, 0), (0, 0, 0, 1)])
-    return same_col, same_row, same_box
-
-
 def is_sudoku_subspace(g: Subspace) -> bool:
-    """Whether the dim-2 subspace meets rows, columns and subsquares once each."""
+    """Whether the dim-2 subspace meets rows, columns and subsquares once each.
+
+    Locations sharing a column differ in span(e1, e2), a row in span(e3, e4)
+    and a subsquare in span(e2, e4).  With (a, b) a basis of G's
+    annihilators, u*e_i + v*e_j lies in G when a and b both vanish on it, and
+    that 2x2 system has a solution other than 0 exactly when its determinant,
+    the minor of (a, b) on coordinates i and j, is 0.
+    """
     if g.dim != 2:
         raise DimensionError(f"expected a 2-dimensional subspace, got dim {g.dim}")
-    return all(trivial_intersection(g, w) for w in _blocking_spaces(g.field))
+    field = g.field
+    a, b = nullspace(field, g.basis, 4)
+    return all(det(field, ((a[i], a[j]), (b[i], b[j]))) for i, j in ((0, 1), (2, 3), (1, 3)))
 
 
 def generate(flag: Flag) -> Grid:
     """Grid of the flag's linear sudoku solution under canonical labeling.
 
-    Radix-space cosets sorted by minimal representative get radix digits
-    0..q-1; within each, its q symbol-space cosets sorted the same way get
-    units digits 0..q-1.  A radix coset's minimal point is that of its first
-    symbol coset, so radix digits number the values of the radix space's
-    annihilator phi in order of first appearance at the sorted symbol
-    representatives.
+    Radix-space cosets numbered by their minimal points get radix digits
+    0..q-1; within each, its q symbol-space cosets numbered the same way get
+    units digits 0..q-1.  In closed form the symbol at x is q*phi(x) + psi(x):
+    phi is the radix space's annihilator, 1 at its last nonzero coordinate j,
+    and psi the symbol space's annihilator with psi_j = 0, 1 at its own last
+    nonzero coordinate.  Each coset's minimal point is supported on those two
+    coordinates, so the cosets first appear in the order of phi and, inside a
+    radix coset, of psi (the proof is in ``linalg.coset_index_map``).
     """
     if not is_sudoku_subspace(flag.symbol_space):
         raise NotSudokuFlag("symbol space does not generate a sudoku solution")
-    field = flag.field
-    q = field.q
-    (phi,) = nullspace(field, flag.radix_space.basis, 4)
-    sym_reps, sym_ids = coset_index_map(flag.symbol_space)
-    radix_of: dict[int, int] = {}
-    units_used = [0] * q
-    symbol_of = []
-    for rep in sym_reps:
-        phi_value = reduce(field.add, map(field.mul, phi, rep))
-        radix_digit = radix_of.setdefault(phi_value, len(radix_of))
-        symbol_of.append(q * radix_digit + units_used[radix_digit])
-        units_used[radix_digit] += 1
+    q = flag.field.q
     # The packed location ((x1*q + x2)*q + x3)*q + x4 is row*q^2 + column.
-    symbol_at = [symbol_of[sid] for sid in sym_ids]
+    symbol_at = coset_index_map(flag.radix_space, flag.symbol_space)
     side = q * q
     return Grid(q, tuple(tuple(symbol_at[r : r + side]) for r in range(0, side * side, side)))
 

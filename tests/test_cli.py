@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import fixtures as fx
@@ -72,6 +74,57 @@ def test_construct_deterministic(tmp_path, capsys):
     run(capsys, "construct", "--q", "4", "--s", "4", "--out", str(a))
     run(capsys, "construct", "--q", "4", "--s", "4", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of `construct --q <q> --s <max_s> --emit array` output.
+ARRAY_SHA256 = {
+    9: "9a915a51c48f99aa87a4b5005b3fd9bfbc0c6e709bfaa6940b76735ea32115ae",
+    11: "85174b9636cd7912a5bf73fbcd479395c13fe6526d569c3aa427b8d16417fe88",
+    13: "fc3e0dc27ce48fac850ca2b2cb49b6e85f3d84cc4a2b2933a61c9235dea52ffd",
+    16: "7766a077c5d377dd7b1b2f4e9a372140e35a12ee02ee0afeaa0757104d19172a",
+}
+
+
+@pytest.mark.parametrize("q", sorted(ARRAY_SHA256))
+def test_construct_array_matches_pinned_digest(q, tmp_path, capsys):
+    from sudoku_ooa import assemble, construct_family, generate, max_guaranteed_s
+
+    s = max_guaranteed_s(q)
+    if q <= 11:
+        out = tmp_path / "arr.txt"
+        code, stdout, _ = run(capsys, "construct", "--q", str(q), "--s", str(s), "--out", str(out))
+        assert (code, stdout) == (0, f"CONSTRUCTED q={q} s={s} method=big\n")
+        text = out.read_bytes()
+    else:
+        # The text `construct` writes, without its exhaustive re-verification.
+        grids = (generate(d.flag()) for d in construct_family(q, s).data)
+        text = array_to_text(assemble(grids)).encode()
+    assert hashlib.sha256(text).hexdigest() == ARRAY_SHA256[q]
+
+
+# sha256 of each grid file of `construct --q <q> --s <s> --emit grids`.
+GRID_SHA256 = {
+    (5, 4): [
+        "87edfa73050059bd0bb7e6f0f1b8b14abf673d56d68984c271e14936d1daf49d",
+        "f1902770f35782774cb62e36e331b221a45c8d21f7a8d90d24663a13d4b38b08",
+    ],
+    (7, 5): [
+        "5afd2d3339de5355412ce56d0f6ae512126fa85f381d77321f1b8e914b769dc8",
+        "ed96b7408998ce563cbefe6672b80269eaf9c4e0eb63238611afe55b9a0e0ea0",
+        "7d7582111c2ce4db78ef6ced20e3d18eba01e706ee3ce11ece0340b6bdd19c2b",
+    ],
+}
+
+
+@pytest.mark.parametrize("q, s", sorted(GRID_SHA256))
+def test_construct_grids_match_pinned_digests(q, s, tmp_path, capsys):
+    out = tmp_path / "grid.txt"
+    code, _, _ = run(
+        capsys, "construct", "--q", str(q), "--s", str(s), "--emit", "grids", "--out", str(out)
+    )
+    assert code == 0
+    got = [hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.glob("grid_*"))]
+    assert got == GRID_SHA256[q, s]
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -10,12 +11,13 @@ from linalg_oracle import contains, pack, span_elements, subspace_sum, vec_add
 from sudoku_ooa import (
     SizeUnsupported,
     det,
+    flag_from_vectors,
     intersect,
     make_field,
     subspace_from,
     trivial_intersection,
 )
-from sudoku_ooa.linalg import coset_index_map, rank, unpack
+from sudoku_ooa.linalg import coset_index_map, rank
 
 
 def test_det_examples():
@@ -88,14 +90,6 @@ def test_trivial_intersection_examples():
     assert rank(f, a.basis + rows.basis) == 4
 
 
-def test_cosets_full_space():
-    f = make_field(2)
-    full = subspace_from(f, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-    assert coset_index_map(full)[0] == [(0, 0, 0, 0)]
-    zero = subspace_from(f, [])
-    assert len(coset_index_map(zero)[0]) == 16
-
-
 def test_intersect_rejects_field_mismatch():
     a = subspace_from(make_field(2), [(1, 0, 0, 0)])
     b = subspace_from(make_field(3), [(1, 0, 0, 0)])
@@ -105,42 +99,41 @@ def test_intersect_rejects_field_mismatch():
         trivial_intersection(a, b)
 
 
-def test_cosets_examples():
-    f3 = make_field(3)
-    v = subspace_from(f3, [(1, 0, 1, 0), (0, 1, 1, 2), (0, 1, 0, 2)])
-    reps = coset_index_map(v)[0]
-    assert len(reps) == 3
-    assert reps == [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2)]
-    f2 = make_field(2)
-    g = subspace_from(f2, [(1, 0, 1, 1), (0, 1, 1, 0)])
-    assert len(coset_index_map(g)[0]) == 4
-
-
-def _random_subspace(f, rng, dim):
+def _random_flag(f, rng):
+    """Flag <v1, v2> < <v1, v2, v3> from random vectors; sudoku or not."""
     while True:
-        sub = subspace_from(f, [tuple(rng.randrange(f.q) for _ in range(4)) for _ in range(dim)])
-        if sub.dim == dim:
-            return sub
+        vecs = [tuple(rng.randrange(f.q) for _ in range(4)) for _ in range(3)]
+        if rank(f, vecs) == 3:
+            return flag_from_vectors(f, *vecs)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_cosets_partition(q):
+    # On any flag G < V: each symbol is one coset of G, each radix digit one
+    # coset of V, and the cosets first appear in canonical order: radix
+    # digits by their first points, units digits likewise inside each.
     f = make_field(q)
     rng = random.Random(q)
-    for dim in (0, 1, 1, 2, 2, 3, 3, 4):
-        sub = _random_subspace(f, rng, dim)
-        reps, ids = coset_index_map(sub)
-        members = span_elements(sub)
-        assert len(reps) == q**4 // q**dim
-        assert reps == sorted(reps)
+    points = list(itertools.product(range(q), repeat=4))  # packed order
+    for _ in range(6):
+        flag = _random_flag(f, rng)
+        symbols = coset_index_map(flag.radix_space, flag.symbol_space)
+        assert sorted(set(symbols)) == list(range(q * q))
+        first = [symbols.index(sym) for sym in range(q * q)]
+        sym_members = span_elements(flag.symbol_space)
+        radix_members = span_elements(flag.radix_space)
         covered = set()
-        for cid, rep in enumerate(reps):
-            coset = [vec_add(f, rep, w) for w in members]
-            # Representatives are each coset's lexicographic minimum.
-            assert min(coset) == rep
-            assert all(ids[pack(q, v)] == cid for v in coset)
+        for sym, m in enumerate(first):
+            coset = [vec_add(f, points[m], w) for w in sym_members]
+            assert all(symbols[pack(q, v)] == sym for v in coset)
             covered.update(coset)
         assert len(covered) == q**4
+        for digit in range(q):
+            units_first = first[q * digit : q * digit + q]
+            assert units_first == sorted(units_first)
+            coset = [vec_add(f, points[units_first[0]], w) for w in radix_members]
+            assert all(symbols[pack(q, v)] // q == digit for v in coset)
+        assert first[::q] == sorted(first[::q])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -160,10 +153,3 @@ def test_dimension_formula(q):
         assert trivial_intersection(a, b) == (meet.dim == 0)
         for v in span_elements(meet):
             assert contains(a, v) and contains(b, v)
-
-
-def test_pack_unpack_roundtrip():
-    for q in (2, 3, 5):
-        for m in range(q**4):
-            assert pack(q, unpack(q, m)) == m
-

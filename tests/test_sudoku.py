@@ -60,15 +60,25 @@ def test_is_sudoku_subspace_examples():
     assert is_sudoku_subspace(g) == expected
 
 
-def test_is_sudoku_subspace_matches_set_oracle():
-    f = make_field(2)
-    vecs = [v for v in itertools.product(range(2), repeat=4) if any(v)]
+def two_dim_subspaces(f):
+    """Every 2-dimensional subspace of F^4, by brute enumeration."""
+    vecs = [v for v in itertools.product(range(f.q), repeat=4) if any(v)]
+    seen = {}
     for v1, v2 in itertools.combinations(vecs, 2):
         g = subspace_from(f, [v1, v2])
-        if g.dim != 2:
-            continue
-        expected = all(set_trivial(g, w) for w in axis_spaces(f))
-        assert is_sudoku_subspace(g) == expected
+        if g.dim == 2:
+            seen[g.basis] = g
+    return list(seen.values())
+
+
+def test_is_sudoku_subspace_matches_set_oracle():
+    for q in (2, 3):
+        f = make_field(q)
+        subspaces = two_dim_subspaces(f)
+        assert len(subspaces) == (q**4 - 1) * (q**4 - q) // ((q**2 - 1) * (q**2 - q))
+        for g in subspaces:
+            expected = all(set_trivial(g, w) for w in axis_spaces(f))
+            assert is_sudoku_subspace(g) == expected
 
 
 def test_is_sudoku_subspace_dimension_error():
@@ -219,7 +229,7 @@ def test_composite_symbol_classes_are_intersection_cosets():
         assert diffs == members
 
 
-@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_generate_postconditions_random_flags(q):
     # Symbol classes are cosets of the symbol space and radix classes cosets
     # of the radix space, under the canonical labeling.
@@ -258,12 +268,7 @@ def exhaustive_flags(q):
 
     f = make_field(q)
     vecs = [v for v in itertools.product(range(q), repeat=4) if any(v)]
-    seen_g = {}
-    for v1, v2 in itertools.combinations(vecs, 2):
-        g = subspace_from(f, [v1, v2])
-        if g.dim == 2:
-            seen_g[g.basis] = g
-    for g in seen_g.values():
+    for g in two_dim_subspaces(f):
         if not is_sudoku_subspace(g):
             continue
         seen_v = {}
@@ -340,10 +345,11 @@ def test_generate_matches_brute_force_labeling_on_every_flag(q):
         assert generate(flag).rows == brute_force_labeling(flag)
 
 
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 17])
 def test_generate_matches_brute_force_labeling_random_flags(q):
+    # q = 16 is characteristic 2; q = 17 the first order whose symbols pass 255.
     f = make_field(q)
     rng = random.Random(q * 23)
-    for _ in range(3):
+    for _ in range(3 if q < 16 else 1):
         flag = fx.random_flag_data(f, rng).flag()
         assert generate(flag).rows == brute_force_labeling(flag)
