@@ -23,7 +23,6 @@ from .files import (
     array_to_text,
     flags_from_text,
     flags_to_text,
-    grid_from_text,
     grid_to_text,
 )
 from .gf import (

@@ -17,6 +17,7 @@ from .files import (
     _quote,
     array_from_text,
     array_to_text,
+    decode_text,
     flags_from_text,
     flags_to_text,
     grid_to_text,
@@ -33,18 +34,6 @@ def _write(out: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _read(path: str) -> str:
-    """The file's text; a byte that is not UTF-8 is a parse error on its line."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode()
-    except UnicodeDecodeError as exc:
-        # Lines are counted as the parsers count them, by str.splitlines.
-        line = len((data[: exc.start].decode() + "x").splitlines())
-        byte = data[exc.start]
-        raise ParseError(line, f"byte 0x{byte:02x} is not UTF-8 ({exc.reason})") from None
 
 
 def _grid_paths(out: str | None, count: int) -> list[str | None]:
@@ -83,12 +72,12 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    array = array_from_text(_read(args.path))
+    array = array_from_text(decode_text(Path(args.path).read_bytes()))
     return _print_verdict(verify(array, args.mode))
 
 
 def _cmd_check_family(args) -> int:
-    data = flags_from_text(_read(args.path))
+    data = flags_from_text(decode_text(Path(args.path).read_bytes()))
     if args.level == "algebraic":
         report = check_algebraic(data)
     else:

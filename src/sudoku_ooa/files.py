@@ -1,12 +1,15 @@
 """Plain-text file formats for grids, flag data, and banded arrays.
 
 All numbers are decimal canonical field indices.  Every format starts with a
-single header line naming the kind and its parameters.
+single header line naming the kind and its parameters.  Flags and arrays are
+written and read; grids are only written.  This module owns the text: it
+decodes a file's bytes, splits the text into lines once, and numbers the
+lines for every parse error.
 """
 
 from __future__ import annotations
 
-from .gf import MAX_ORDER, NotPrimePower, make_field
+from .gf import NotPrimePower, make_field
 from .ooa import ArrayTooLarge, BandedArray, check_size
 from .sudoku import FlagData, Grid, InvalidFlagData
 
@@ -122,8 +125,8 @@ def _int_row(
     return row
 
 
-def _body_lines(text: str, count: int, what: str) -> list[tuple[int, str]]:
-    lines = text.splitlines()
+def _body_lines(lines: list[str], count: int, what: str) -> list[tuple[int, str]]:
+    """The nonblank lines after the header, each with its 1-based line number."""
     body = [(i + 1, ln) for i, ln in enumerate(lines) if i > 0 and ln.strip()]
     if len(body) < count:
         raise ParseError(len(lines) + 1, f"expected {count} {what} lines, got {len(body)}")
@@ -132,23 +135,21 @@ def _body_lines(text: str, count: int, what: str) -> list[tuple[int, str]]:
     return body
 
 
+def decode_text(data: bytes) -> str:
+    """The file's text; a byte that is not UTF-8 is a parse error on its line."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        # Lines are counted as the parsers count them, by str.splitlines.
+        line = len((data[: exc.start].decode() + "x").splitlines())
+        byte = data[exc.start]
+        raise ParseError(line, f"byte 0x{byte:02x} is not UTF-8 ({exc.reason})") from None
+
+
 def grid_to_text(grid: Grid) -> str:
     lines = [f"sudoku q={grid.q}"]
     lines.extend(" ".join(map(str, row)) for row in grid.rows)
-    return "\n".join(lines) + "\n"
-
-
-def grid_from_text(text: str) -> Grid:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError(1, "empty file")
-    q = _header_fields(lines[0], "sudoku", ("q",), {"q": 2})["q"]
-    if q > MAX_ORDER:
-        raise ParseError(1, f"field order must be at most {MAX_ORDER}, got {q}")
-    side = q * q
-    body = _body_lines(text, side, "grid")
-    spellings = _spellings(side)
-    return Grid(q, tuple(_int_row(ln, lineno, side, spellings) for lineno, ln in body))
+    return "\n".join([*lines, ""])
 
 
 def flags_to_text(data) -> str:
@@ -158,7 +159,7 @@ def flags_to_text(data) -> str:
     q = data[0].field.q
     lines = [f"flags q={q} count={len(data)}"]
     lines.extend(f"{d.a} {d.b} {d.c} {d.d} {d.beta}" for d in data)
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])
 
 
 def flags_from_text(text: str) -> list[FlagData]:
@@ -171,7 +172,7 @@ def flags_from_text(text: str) -> list[FlagData]:
     except NotPrimePower as exc:
         raise ParseError(1, str(exc)) from None
     out = []
-    for lineno, ln in _body_lines(text, header["count"], "flag datum"):
+    for lineno, ln in _body_lines(lines, header["count"], "flag datum"):
         try:
             out.append(FlagData(field, *_int_row(ln, lineno, 5)))
         except InvalidFlagData as exc:
@@ -183,7 +184,7 @@ def array_to_text(array: BandedArray) -> str:
     names = [str(x) for x in range(array.q)]  # every entry is below q
     lines = [ARRAY_HEADER.format(s=array.s, q=array.q)]
     lines.extend(" ".join(map(names.__getitem__, row)) for row in array.rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])
 
 
 def array_from_text(text: str) -> BandedArray:
@@ -198,7 +199,7 @@ def array_from_text(text: str) -> BandedArray:
         check_size(q, s)
     except ArrayTooLarge as exc:
         raise ParseError(1, str(exc)) from None
-    body = _body_lines(text, 2 * s, "array")
+    body = _body_lines(lines, 2 * s, "array")
     spellings = _spellings(q)
     return BandedArray(
         q, s, tuple(bytes(_int_row(ln, lineno, q**4, spellings)) for lineno, ln in body)

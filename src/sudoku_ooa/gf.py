@@ -181,13 +181,12 @@ class Field:
 def make_field(q: int) -> Field:
     """Field of order q with the deterministic minimal modulus.
 
-    For k >= 2 the modulus is the monic irreducible degree-k polynomial whose
-    non-leading coefficient vector has the smallest canonical index; for prime
-    q it is the polynomial x and arithmetic is plain mod p.
+    The modulus is the monic irreducible degree-k polynomial whose non-leading
+    coefficient vector has the smallest canonical index.  For prime q that is
+    the polynomial x, the first one tried (a degree-1 polynomial has no
+    divisor to try), and arithmetic is plain mod p.
     """
     p, k = _factor_prime_power(q)
-    if k == 1:
-        return Field(p, 1, (0, 1))
     for idx in range(p**k):
         coeffs = _index_coeffs(idx, p, k)
         if _is_irreducible(coeffs + [1], p, k):

@@ -137,7 +137,7 @@ def assemble(grids) -> BandedArray:
             # Translation tables: byte sym maps to sym // q and to sym % q.
             radix = bytes(sym // q for sym in range(256))
             units = bytes(sym % q for sym in range(256))
-        if g.q != q or g.side != q * q:
+        if g.q != q:
             raise DimensionMismatch("grids must share one order q")
         try:
             symbols = bytes(chain.from_iterable(g.rows))

@@ -1,4 +1,4 @@
-"""Reference row reader for the array and grid formats.
+"""Reference readers for the array and grid formats.
 
 ``sudoku_ooa.files`` reads a line made only of canonical spellings (``0`` to
 ``str(bound - 1)``) by table lookup, and hands every other line to its full
@@ -6,6 +6,10 @@ reader.  This module keeps the full reading alone, independent of the lookup:
 each line is checked for decimal integers, split, converted by ``int``,
 counted and range-checked, with the messages the parsers raise.  Headers and
 line selection are shared with ``files``.
+
+The program writes grids (``construct --emit grids``, ``gen-sudoku``) but no
+command reads them, so ``grid_from_text`` here is the only grid reader: tests
+read grid output back through it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ def grid_from_text(text: str) -> Grid:
     if q > MAX_ORDER:
         raise ParseError(1, f"field order must be at most {MAX_ORDER}, got {q}")
     side = q * q
-    body = _body_lines(text, side, "grid")
+    body = _body_lines(lines, side, "grid")
     return Grid(q, tuple(int_row(ln, lineno, side, side) for lineno, ln in body))
 
 
@@ -55,5 +59,5 @@ def array_from_text(text: str) -> BandedArray:
         check_size(q, s)
     except ArrayTooLarge as exc:
         raise ParseError(1, str(exc)) from None
-    body = _body_lines(text, 2 * s, "array")
+    body = _body_lines(lines, 2 * s, "array")
     return BandedArray(q, s, tuple(bytes(int_row(ln, lineno, q**4, q)) for lineno, ln in body))

@@ -8,7 +8,8 @@ import pytest
 
 import fixtures as fx
 from grid_oracle import is_sudoku
-from sudoku_ooa import BandedArray, array_from_text, array_to_text, grid_from_text, ooa, verify
+from row_oracle import grid_from_text
+from sudoku_ooa import BandedArray, array_from_text, array_to_text, ooa, verify
 from sudoku_ooa.cli import main
 
 

@@ -1,10 +1,18 @@
-"""Text formats round-trip and reject malformed input with line numbers."""
+"""Text formats round-trip and reject malformed input with line numbers.
+
+No command reads grids, so grid text is read back through the reference
+reader ``row_oracle.grid_from_text``, which shares the header and line rules
+of ``sudoku_ooa.files``.
+"""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import pytest
 
 import fixtures as fx
+from row_oracle import grid_from_text
 from sudoku_ooa import (
     BandedArray,
     FlagData,
@@ -13,9 +21,10 @@ from sudoku_ooa import (
     array_from_text,
     array_to_text,
     assemble,
+    construct_family,
     flags_from_text,
     flags_to_text,
-    grid_from_text,
+    generate,
     grid_to_text,
     make_field,
 )
@@ -97,13 +106,11 @@ def test_header_rejects_out_of_range_values(parse, header, field):
 
 
 def test_huge_headers_are_refused_at_line_1():
-    # Derived counts such as q*q or 2*s*v^4 of these would have more digits
-    # than int-to-str conversion allows, so they must not reach a message.
-    huge = "1" + "0" * 2200
-    with pytest.raises(ParseError, match=r"^line 1: field order must be at most 256, got 1"):
-        grid_from_text(f"sudoku q={huge}\n0\n")
+    # The derived count 2*s*v^4 of this would have more digits than
+    # int-to-str conversion allows, so it must not reach a message.
+    huge = "1" + "0" * 1100
     with pytest.raises(ParseError, match=r"^line 1: a 2s x q\^4 array is limited to"):
-        array_from_text(f"ooa t=4 s=3 l=2 v={huge[:1101]}\n" + "0\n" * 6)
+        array_from_text(f"ooa t=4 s=3 l=2 v={huge}\n" + "0\n" * 6)
 
 
 def test_flags_to_text_needs_data():
@@ -142,3 +149,40 @@ def test_array_parse_errors():
     lines[3] = lines[3].replace("-1", "\uff10", 1)  # fullwidth zero
     with pytest.raises(ParseError, match=r"^line 4: non-integer entry in "):
         array_from_text("\n".join(lines) + "\n")
+
+
+class _CountingText(str):
+    """A text that counts the calls of its splitlines."""
+
+    calls = 0
+
+    def splitlines(self, *args, **kwargs):
+        self.calls += 1
+        return super().splitlines(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (array_from_text, array_to_text(assemble([fx.PAIR3_M1, fx.PAIR3_M2]))),
+        (flags_from_text, "flags q=3 count=2\n2 1 0 2 1\n1 1 0 1 2\n"),
+    ],
+    ids=["array", "flags"],
+)
+def test_parsers_split_the_text_once(parse, text):
+    text = _CountingText(text)
+    parse(text)
+    assert text.calls == 1
+
+
+def test_array_to_text_holds_its_text_once():
+    # The lines and the joined text are alive together; a second full copy of
+    # the text (as "\n".join(lines) + "\n" makes) would take the peak to 3x.
+    array = assemble(generate(d.flag()) for d in construct_family(9, 6).data)
+    tracemalloc.start()
+    try:
+        text = array_to_text(array)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)

@@ -2,9 +2,10 @@
 
 Each parser round-trips its own output.  A mutated text either parses or
 raises ParseError, and the CLI turns a ParseError into exit 2 with the same
-``line N:`` message, never a traceback.  The array and grid readers, which
-read canonical spellings by table lookup, agree with the full reader of
-``row_oracle`` on texts with one token changed.
+``line N:`` message, never a traceback.  The array reader, which reads
+canonical spellings by table lookup, agrees with the full reader of
+``row_oracle`` on texts with one token changed.  No command reads grids, so
+grid text is read by ``row_oracle.grid_from_text``, the reference reader.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from sudoku_ooa import (  # noqa: E402
     array_to_text,
     flags_from_text,
     flags_to_text,
-    grid_from_text,
     grid_to_text,
     make_field,
 )
@@ -71,7 +71,7 @@ def arrays(draw):
 
 
 FORMATS = {
-    "grid": (grids(), grid_to_text, grid_from_text),
+    "grid": (grids(), grid_to_text, row_oracle.grid_from_text),
     "flags": (flag_lists(), flags_to_text, flags_from_text),
     "array": (arrays(), array_to_text, array_from_text),
 }
@@ -162,13 +162,8 @@ def test_cli_exits_2_on_unparsable_input(tmp_path, capsys, command, kind):
 
 # One-token edits: spellings int() takes that are not canonical, spellings the
 # parsers refuse, entries out of range, a tab separator, and a token added or
-# removed.  "{q}" is the row bound (q for an array, q^2 for a grid).
+# removed.  "{q}" is the row bound, the array's order q.
 _TOKEN_EDITS = ["007", "-0", "+1", "1_0", "\u0661", "{q}", "-1", "256", "tab", "extra", "missing"]
-
-
-def _random_grid(rng, q):
-    side = q * q
-    return Grid(q, tuple(tuple(rng.randrange(side) for _ in range(side)) for _ in range(side)))
 
 
 def _random_array(rng, q):
@@ -177,17 +172,15 @@ def _random_array(rng, q):
 
 
 READERS = {
-    # kind: (orders, random value, bound of a row's entries, printer, reader, oracle)
-    "grid": ([2, 3, 4], _random_grid, lambda q: q * q, grid_to_text, grid_from_text,
-             row_oracle.grid_from_text),
-    "array": ([2, 3, 5, 11], _random_array, lambda q: q, array_to_text, array_from_text,
+    # kind: (orders, random value, printer, reader, oracle)
+    "array": ([2, 3, 5, 11], _random_array, array_to_text, array_from_text,
               row_oracle.array_from_text),
 }
 
 
 @st.composite
 def token_edited(draw, kind):
-    orders, build, bound, to_text = READERS[kind][:4]
+    orders, build, to_text = READERS[kind][:3]
     q = draw(st.sampled_from(orders))
     lines = to_text(build(random.Random(draw(st.integers(0, 2**32))), q)).splitlines()
     i = draw(st.integers(1, len(lines) - 1))
@@ -204,14 +197,14 @@ def token_edited(draw, kind):
     elif edit == "007":  # the same value, zero-padded
         tokens[j] = "00" + tokens[j]
     else:
-        tokens[j] = edit.format(q=bound(q))
+        tokens[j] = edit.format(q=q)
     lines[i] = " ".join(tokens)
     return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("kind", READERS)
 def test_table_reader_agrees_with_full_reader(kind):
-    read, oracle = READERS[kind][4:]
+    read, oracle = READERS[kind][3:]
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(token_edited(kind))

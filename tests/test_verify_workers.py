@@ -16,6 +16,7 @@ import glob
 import json
 import math
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -248,6 +249,30 @@ def test_worker_count_threshold(monkeypatch):
     assert ooa._worker_count(615, 16) == ooa.MAX_WORKERS <= 8
     monkeypatch.setattr(ooa, "_cpus", lambda: 1)
     assert ooa._worker_count(615, 16) == 1
+
+
+def test_cpus_without_an_affinity_call(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert ooa._cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ooa._cpus() == 1
+
+
+def test_cli_import_loads_no_worker_modules():
+    # check-family's children spend most of their time starting up, so the
+    # worker module and what only it needs are imported when a scan splits.
+    # -S, since site may import tempfile on its own.
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import sudoku_ooa.cli; "
+        "print(' '.join(sorted({'sudoku_ooa.workers', 'json', 'subprocess', 'tempfile'}"
+        " & set(sys.modules))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
 
 
 def test_no_pool_modules_are_imported():
