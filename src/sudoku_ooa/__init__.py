@@ -57,25 +57,19 @@ from .ooa import (
 from .strong import (
     ConditionReport,
     ConditionResult,
-    HypothesisViolated,
     NotMutuallyOrthogonal,
     check_algebraic,
     check_combinatorial,
     condition_index_tuples,
-    gamma_composite,
 )
 from .sudoku import (
-    DimensionError,
     DimensionMismatch,
     Flag,
     FlagData,
     Grid,
     InvalidFlagData,
-    NotSudokuFlag,
     are_orthogonal,
-    flag_from_vectors,
     generate,
-    is_sudoku_subspace,
     subspace_gamma,
 )
 

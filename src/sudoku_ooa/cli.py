@@ -13,8 +13,6 @@ from pathlib import Path
 
 from .families import construct_family, max_guaranteed_s
 from .files import (
-    ParseError,
-    _quote,
     array_from_text,
     array_to_text,
     decode_text,
@@ -23,7 +21,7 @@ from .files import (
     grid_to_text,
     parse_int,
 )
-from .gf import find_generator, make_field
+from .gf import _quote, find_generator, make_field
 from .ooa import VerifyResult, assemble, check_size, verify
 from .strong import check_algebraic, check_combinatorial
 from .sudoku import FlagData, generate
@@ -97,7 +95,7 @@ def _cmd_gen_sudoku(args) -> int:
     try:
         a, b, c, d, beta = map(parse_int, args.flag.split(","))
     except ValueError:
-        raise ParseError(1, f"--flag needs 5 comma-separated integers, got {_quote(args.flag)}")
+        raise ValueError(f"--flag needs 5 comma-separated integers, got {_quote(args.flag)}")
     datum = FlagData(field, a, b, c, d, beta)
     check_size(args.q, 3)  # the array of a one-member family, as `construct --s 3`
     _write(args.out, grid_to_text(generate(datum.flag())))

@@ -9,7 +9,7 @@ lines for every parse error.
 
 from __future__ import annotations
 
-from .gf import NotPrimePower, make_field
+from .gf import NotPrimePower, _decimal, _quote, make_field
 from .ooa import ArrayTooLarge, BandedArray, check_size
 from .sudoku import FlagData, Grid, InvalidFlagData
 
@@ -22,17 +22,6 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-# Parse errors quote at most this many characters of a line or field.
-_QUOTE_LIMIT = 40
-
-
-def _quote(text: str) -> str:
-    """repr of the text, cut to its first _QUOTE_LIMIT characters if longer."""
-    if len(text) <= _QUOTE_LIMIT:
-        return repr(text)
-    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 # Deletes every character a decimal integer may hold: ASCII digits and '-'.
@@ -80,9 +69,7 @@ def _header_fields(
         raise ParseError(1, f"missing header fields: {', '.join(missing)}")
     for key, low in minimum.items():
         if out[key] < low:
-            got = str(out[key])
-            if len(got) > _QUOTE_LIMIT:
-                got = _quote(got)
+            got = _decimal(out[key])
             raise ParseError(1, f"header field {key} must be at least {low}, got {got}")
     return out
 

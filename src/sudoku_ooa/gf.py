@@ -23,11 +23,28 @@ class DivisionByZero(ZeroDivisionError):
     """Inversion of, or division by, the zero element."""
 
 
+# Error messages quote at most this many characters of an input.
+_QUOTE_LIMIT = 40
+
+
+def _quote(text: str) -> str:
+    """repr of the text, cut to its first _QUOTE_LIMIT characters if longer."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, or cut by ``_quote`` when longer than _QUOTE_LIMIT."""
+    text = str(n)
+    return text if len(text) <= _QUOTE_LIMIT else _quote(text)
+
+
 def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
-        raise NotPrimePower(f"field order must be at least 2, got {q}")
+        raise NotPrimePower(f"field order must be at least 2, got {_decimal(q)}")
     if q > MAX_ORDER:
-        raise NotPrimePower(f"field order must be at most {MAX_ORDER}, got {q}")
+        raise NotPrimePower(f"field order must be at most {MAX_ORDER}, got {_decimal(q)}")
     for p in range(2, q + 1):
         if p * p > q:
             return q, 1  # q itself is prime

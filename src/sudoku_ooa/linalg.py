@@ -129,7 +129,7 @@ def trivial_intersection(a: Subspace, b: Subspace) -> bool:
     return rank(a.field, a.basis + b.basis) == a.dim + b.dim
 
 
-def _functional_values(field: Field, phi) -> list[int]:
+def functional_values(field: Field, phi) -> list[int]:
     """phi(x) = sum(phi_i * x_i) at every point x of F^4, in packed order."""
     q = field.q
     add, mul = field.add, field.mul
@@ -140,32 +140,3 @@ def _functional_values(field: Field, phi) -> list[int]:
         extend = [[add(v, mul(c, x)) for x in range(q)] for v in range(q)]
         values = list(chain.from_iterable(map(extend.__getitem__, values)))
     return values
-
-
-def coset_index_map(radix_space: Subspace, symbol_space: Subspace) -> list[int]:
-    """Grid symbol q*phi(x) + psi(x) of every point x of F^4, in packed order.
-
-    The symbol is the canonical coset label: the radix digit numbers the
-    cosets of the dim-3 ``radix_space`` V by their minimal points, and the
-    units digit numbers the cosets of the dim-2 ``symbol_space`` G inside
-    each radix coset the same way.  Both numbers are functional values.
-    phi vanishes on V and psi on G and at e_j; each is 1 at its last nonzero
-    coordinate, j for phi and k for psi, and k != j as psi_j = 0.  The point
-    m = d*e_k + (c - phi_k*d)*e_j has (phi, psi) = (c, d) and is the minimum
-    of that symbol coset: any other point of it first differs from m at a
-    coordinate i that is neither j nor k (agreeing with m before i, the
-    functional whose last nonzero coordinate is i fixes the i-th coordinate),
-    so there m_i = 0 is the smaller.  Inside the radix coset phi = c these
-    minima first differ at coordinate k, where they read d, so the units
-    digit is psi; the radix cosets' minima c*e_j are ordered by c, so the
-    radix digit is phi.  This holds for k > j and for k < j alike.
-    """
-    field = radix_space.field
-    (phi,) = nullspace(field, radix_space.basis, 4)
-    j = max(i for i, c in enumerate(phi) if c)
-    e_j = tuple(int(i == j) for i in range(4))
-    # e_j lies outside V (phi(e_j) = 1), so G + <e_j> has dimension 3.
-    (psi,) = nullspace(field, symbol_space.basis + (e_j,), 4)
-    q = field.q
-    radix, units = _functional_values(field, phi), _functional_values(field, psi)
-    return [q * r + u for r, u in zip(radix, units)]

@@ -31,56 +31,11 @@ from .ooa import BandedArray, duplicate_finder, repeat_text
 from .sudoku import FlagData, datum_violation, subspace_gamma
 
 
-class HypothesisViolated(ValueError):
-    """The closed-form composite matrix is undefined for this datum pair."""
-
-
 class NotMutuallyOrthogonal(ValueError):
     """The family is not a set of mutually orthogonal sudoku solutions."""
 
 
 CONDITION_LABELS = ("i", "ii.a", "ii.b", "ii.c", "iii.a", "iii.b", "iii.c", "iv")
-
-
-def gamma_composite(di: FlagData, dj: FlagData):
-    """Closed-form matrix datum of the intersection of two radix spaces.
-
-    Defined when beta_i != beta_j and b_i(d_j-beta_j) - b_j(d_i-beta_i) != 0;
-    equals the datum of intersect(V_i, V_j) computed by linear algebra.
-    """
-    f = di.field
-    if f != dj.field:
-        raise ValueError("data lie over different fields")
-    mul, sub = f.mul, f.sub
-    beta_diff = sub(di.beta, dj.beta)
-    if beta_diff == 0:
-        raise HypothesisViolated("beta_i equals beta_j")
-    ei = sub(di.d, di.beta)  # d_i - beta_i
-    ej = sub(dj.d, dj.beta)
-    denom = sub(mul(di.b, ej), mul(dj.b, ei))
-    if denom == 0:
-        raise HypothesisViolated("b_i(d_j-beta_j) - b_j(d_i-beta_i) is zero")
-    inv_denom = f.inv(denom)
-    bb = mul(di.b, dj.b)
-    a12 = mul(
-        f.add(
-            mul(bb, sub(di.c, dj.c)),
-            sub(mul(mul(dj.a, di.b), ej), mul(mul(di.a, dj.b), ei)),
-        ),
-        inv_denom,
-    )
-    b12 = mul(mul(bb, beta_diff), inv_denom)
-    c12 = mul(
-        f.add(
-            sub(mul(mul(di.b, di.c), ej), mul(mul(dj.b, dj.c), ei)),
-            mul(mul(sub(dj.a, di.a), ei), ej),
-        ),
-        inv_denom,
-    )
-    d12 = mul(
-        sub(mul(mul(di.beta, di.b), ej), mul(mul(dj.beta, dj.b), ei)), inv_denom
-    )
-    return ((a12, b12), (c12, d12))
 
 
 def large_row_matrix(di: FlagData, dj: FlagData):
@@ -207,30 +162,17 @@ def check_algebraic(data) -> ConditionReport:
         raise ValueError("flag data lie over different fields")
     n = len(data)
 
-    flags = [d.flag() for d in data]
-    radix_spaces = [fl.radix_space for fl in flags]
-    symbol_spaces = [fl.symbol_space for fl in flags]
+    symbol_spaces, radix_spaces = zip(*(d.spaces() for d in data))
     # Location spaces of the top large row and the left large column.
     top_large_row = subspace_from(f, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     left_large_col = subspace_from(f, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
 
-    # Composite symbol spaces and their matrix data, by intersection; the
-    # closed form is a cross-check where its hypotheses hold.
-    inter: dict[tuple[int, int], Subspace] = {}
-    gammas: dict[tuple[int, int], tuple | None] = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        w = intersect(radix_spaces[i - 1], radix_spaces[j - 1])
-        gm = subspace_gamma(w)
-        try:
-            closed = gamma_composite(data[i - 1], data[j - 1])
-        except HypothesisViolated:
-            closed = None
-        if closed is not None and closed != gm:
-            raise AssertionError(
-                f"closed-form composite datum disagrees with intersection at {(i, j)}"
-            )  # pragma: no cover
-        inter[(i, j)] = w
-        gammas[(i, j)] = gm
+    # Composite symbol spaces and their matrix data, by intersection.
+    inter = {
+        (i, j): intersect(radix_spaces[i - 1], radix_spaces[j - 1])
+        for i, j in combinations(range(1, n + 1), 2)
+    }
+    gammas = {pair: subspace_gamma(w) for pair, w in inter.items()}
 
     row_cuts = [intersect(v, top_large_row) for v in radix_spaces]
     col_cuts = [intersect(v, left_large_col) for v in radix_spaces]

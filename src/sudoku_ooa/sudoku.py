@@ -7,7 +7,8 @@ integers 0..q^2-1; symbol s has radix digit s // q and units digit s % q.
 
 A grid is linear when every symbol's location set is a coset of one
 2-dimensional subspace, and a flag adds a 3-dimensional space whose cosets
-carry the radix digits.
+carry the radix digits.  A flag is held as the two linear functionals whose
+values are those digits.
 """
 
 from __future__ import annotations
@@ -16,19 +17,11 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .gf import Field
-from .linalg import Subspace, coset_index_map, det, nullspace, rank, subspace_from
-
-
-class DimensionError(ValueError):
-    """A subspace has the wrong dimension for the requested operation."""
+from .linalg import Subspace, Vec4, functional_values, subspace_from
 
 
 class DimensionMismatch(ValueError):
     """Grids or arrays with incompatible shapes were combined."""
-
-
-class NotSudokuFlag(ValueError):
-    """The flag's 2-dimensional space does not generate a sudoku solution."""
 
 
 class InvalidFlagData(ValueError):
@@ -49,30 +42,27 @@ class Grid:
 
 @dataclass(frozen=True)
 class Flag:
-    """Nested pair of subspaces: dim-2 symbol space inside dim-3 radix space.
+    """Flag G < V (dim-2 symbol space in dim-3 radix space) as two functionals.
 
-    Symbols of the generated grid live on cosets of ``symbol_space`` and radix
-    digits on cosets of ``radix_space``.  ``subspace_gamma(symbol_space)``
-    recovers the matrix datum of a flag built from one.
+    ``phi`` spans V's annihilators and is 1 at its last nonzero coordinate j;
+    ``psi`` vanishes on G and at e_j, and is 1 at its own last nonzero
+    coordinate k, so k != j.  The pair is unique to the flag.  The grid symbol
+    at x is q*phi(x) + psi(x), which is the canonical coset label: the radix
+    digit numbers the cosets of V by their minimal points, and the units digit
+    numbers the cosets of G inside each radix coset the same way.  The point
+    m = d*e_k + (c - phi_k*d)*e_j has (phi, psi) = (c, d) and is the minimum
+    of that symbol coset: any other point of it first differs from m at a
+    coordinate i that is neither j nor k (agreeing with m before i, the
+    functional whose last nonzero coordinate is i fixes the i-th coordinate),
+    so there m_i = 0 is the smaller.  Inside the radix coset phi = c these
+    minima first differ at coordinate k, where they read d, so the units
+    digit is psi; the radix cosets' minima c*e_j are ordered by c, so the
+    radix digit is phi.  This holds for k > j and for k < j alike.
     """
 
-    symbol_space: Subspace
-    radix_space: Subspace
-
-    def __post_init__(self):
-        if self.symbol_space.dim != 2 or self.radix_space.dim != 3:
-            raise DimensionError("flag needs a dim-2 space inside a dim-3 space")
-        if rank(self.field, self.radix_space.basis + self.symbol_space.basis) != 3:
-            raise DimensionError("symbol space is not contained in radix space")
-
-    @property
-    def field(self) -> Field:
-        return self.symbol_space.field
-
-
-def flag_from_vectors(field: Field, v1, v2, v3) -> Flag:
-    """Flag with symbol space <v1, v2> and radix space <v1, v2, v3>."""
-    return Flag(subspace_from(field, [v1, v2]), subspace_from(field, [v1, v2, v3]))
+    field: Field
+    phi: Vec4
+    psi: Vec4
 
 
 def datum_violation(field: Field, a: int, b: int, c: int, d: int, beta: int) -> str | None:
@@ -114,11 +104,33 @@ class FlagData:
     def gamma(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.a, self.b), (self.c, self.d))
 
+    def spaces(self) -> tuple[Subspace, Subspace]:
+        """(symbol space, radix space): the spans of (1,0,a,c), (0,1,b,d) and
+        of those two with (0,1,0,beta)."""
+        f = self.field
+        v1, v2, v3 = (1, 0, self.a, self.c), (0, 1, self.b, self.d), (0, 1, 0, self.beta)
+        return subspace_from(f, [v1, v2]), subspace_from(f, [v1, v2, v3])
+
     def flag(self) -> Flag:
-        """Canonical flag: columns (1,0,a,c), (0,1,b,d), (0,1,0,beta)."""
-        return flag_from_vectors(
-            self.field, (1, 0, self.a, self.c), (0, 1, self.b, self.d), (0, 1, 0, self.beta)
-        )
+        """The flag of ``spaces()``, in closed form.
+
+        With k = (beta - d)/b, phi = (-c - a*k, -beta, k, 1) vanishes on
+        (1,0,a,c), (0,1,b,d) and (0,1,0,beta), as b*k + d = beta; and
+        psi = (-a, -b, 1, 0) vanishes on the first two.  phi_4 = 1, so j = 4;
+        psi_4 = 0 and psi_3 = 1, so this is the normalized pair of ``Flag``.
+
+        Every such grid is a sudoku solution.  Locations sharing a column
+        differ in span(e1, e2), a row in span(e3, e4) and a subsquare in
+        span(e2, e4).  Since phi and psi span G's annihilators, u*e_i + v*e_j
+        lies in G when both vanish on it, which has a solution other than 0
+        exactly when their minor on coordinates i and j is 0.  Those three
+        minors are bc - ad, -1 and b, which the datum rule makes nonzero.
+        """
+        f = self.field
+        a, b, c, d, beta = self.a, self.b, self.c, self.d, self.beta
+        k = f.mul(f.sub(beta, d), f.inv(b))
+        phi = (f.neg(f.add(c, f.mul(a, k))), f.neg(beta), k, 1)
+        return Flag(f, phi, (f.neg(a), f.neg(b), 1, 0))
 
 
 def subspace_gamma(sub: Subspace):
@@ -131,20 +143,12 @@ def subspace_gamma(sub: Subspace):
     return ((r1[2], r2[2]), (r1[3], r2[3]))
 
 
-def is_sudoku_subspace(g: Subspace) -> bool:
-    """Whether the dim-2 subspace meets rows, columns and subsquares once each.
-
-    Locations sharing a column differ in span(e1, e2), a row in span(e3, e4)
-    and a subsquare in span(e2, e4).  With (a, b) a basis of G's
-    annihilators, u*e_i + v*e_j lies in G when a and b both vanish on it, and
-    that 2x2 system has a solution other than 0 exactly when its determinant,
-    the minor of (a, b) on coordinates i and j, is 0.
-    """
-    if g.dim != 2:
-        raise DimensionError(f"expected a 2-dimensional subspace, got dim {g.dim}")
-    field = g.field
-    a, b = nullspace(field, g.basis, 4)
-    return all(det(field, ((a[i], a[j]), (b[i], b[j]))) for i, j in ((0, 1), (2, 3), (1, 3)))
+def coset_index_map(flag: Flag) -> list[int]:
+    """Grid symbol q*phi(x) + psi(x) of every point x of F^4, in packed order."""
+    field = flag.field
+    q = field.q
+    radix, units = functional_values(field, flag.phi), functional_values(field, flag.psi)
+    return [q * r + u for r, u in zip(radix, units)]
 
 
 def generate(flag: Flag) -> Grid:
@@ -152,18 +156,11 @@ def generate(flag: Flag) -> Grid:
 
     Radix-space cosets numbered by their minimal points get radix digits
     0..q-1; within each, its q symbol-space cosets numbered the same way get
-    units digits 0..q-1.  In closed form the symbol at x is q*phi(x) + psi(x):
-    phi is the radix space's annihilator, 1 at its last nonzero coordinate j,
-    and psi the symbol space's annihilator with psi_j = 0, 1 at its own last
-    nonzero coordinate.  Each coset's minimal point is supported on those two
-    coordinates, so the cosets first appear in the order of phi and, inside a
-    radix coset, of psi (the proof is in ``linalg.coset_index_map``).
+    units digits 0..q-1 (see ``Flag``).
     """
-    if not is_sudoku_subspace(flag.symbol_space):
-        raise NotSudokuFlag("symbol space does not generate a sudoku solution")
     q = flag.field.q
     # The packed location ((x1*q + x2)*q + x3)*q + x4 is row*q^2 + column.
-    symbol_at = coset_index_map(flag.radix_space, flag.symbol_space)
+    symbol_at = coset_index_map(flag)
     side = q * q
     return Grid(q, tuple(tuple(symbol_at[r : r + side]) for r in range(0, side * side, side)))
 

@@ -13,12 +13,12 @@ import time
 
 import pytest
 
+from composite_oracle import HypothesisViolated, gamma_composite
 import fixtures as fx
 import grid_oracle
 from sudoku_ooa import (
     BandedArray,
     FlagData,
-    HypothesisViolated,
     InvalidFlagData,
     NotMutuallyOrthogonal,
     SOutOfRange,
@@ -29,7 +29,6 @@ from sudoku_ooa import (
     construct_family,
     det,
     duplicate_finder,
-    gamma_composite,
     generate,
     intersect,
     make_field,
@@ -197,7 +196,7 @@ def test_criterion_5_gamma_closed_form():
                 )
                 assert d1.beta == d2.beta or denom == 0
                 continue
-            meet = intersect(d1.flag().radix_space, d2.flag().radix_space)
+            meet = intersect(d1.spaces()[1], d2.spaces()[1])
             assert subspace_gamma(meet) == closed
             compared += 1
 

@@ -70,6 +70,40 @@ def test_construct_emit_grids(tmp_path, capsys):
         assert grid == want
 
 
+def _outputs(capsys, out_dir, *argv):
+    """Exit code, stdout, stderr and every written file of one invocation."""
+    out_dir.mkdir()
+    result = run(capsys, *argv, "--out", str(out_dir / "out.txt"))
+    return result, {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--q", "5", "--s", "4", "--emit", "array"],
+        ["construct", "--q", "5", "--s", "4", "--emit", "flags"],
+        ["construct", "--q", "5", "--s", "4", "--emit", "grids"],
+        ["gen-sudoku", "--q", "5", "--flag", "2,1,3,2,2"],
+    ],
+    ids=["array", "flags", "grids", "gen-sudoku"],
+)
+def test_datum_to_artifact_path_does_no_subspace_algebra(tmp_path, capsys, monkeypatch, argv):
+    # Flags come from their data in closed form: with row reduction disabled,
+    # and with it every span, rank and nullspace, the artifacts are unchanged.
+    from sudoku_ooa import FlagData, linalg, make_field
+
+    expected = _outputs(capsys, tmp_path / "plain", *argv)
+    assert expected[0][0] == 0 and expected[1]
+
+    def no_rref(field, rows):
+        raise AssertionError("row reduction on the datum path")
+
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    with pytest.raises(AssertionError, match="row reduction"):
+        FlagData(make_field(5), 2, 1, 3, 2, 2).spaces()  # the patch does bite
+    assert _outputs(capsys, tmp_path / "patched", *argv) == expected
+
+
 def test_construct_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     run(capsys, "construct", "--q", "4", "--s", "4", "--out", str(a))
@@ -412,7 +446,7 @@ def test_gen_sudoku(tmp_path, capsys):
 def test_gen_sudoku_bad_flag(capsys):
     code, _, stderr = run(capsys, "gen-sudoku", "--q", "3", "--flag", "1,2,3")
     assert code == 2
-    assert "comma-separated" in stderr
+    assert stderr == "error: --flag needs 5 comma-separated integers, got '1,2,3'\n"
 
 
 # int() alone would read each of these as the valid datum 2,1,0,2,1 (or 10).
@@ -420,7 +454,7 @@ def test_gen_sudoku_bad_flag(capsys):
 def test_gen_sudoku_refuses_numbers_outside_the_format(capsys, flag):
     code, stdout, stderr = run(capsys, "gen-sudoku", "--q", "3", "--flag", flag)
     assert (code, stdout) == (2, "")
-    assert stderr == f"error: line 1: --flag needs 5 comma-separated integers, got {flag!r}\n"
+    assert stderr == f"error: --flag needs 5 comma-separated integers, got {flag!r}\n"
 
 
 def test_gen_sudoku_bad_flag_is_quoted_by_its_start(capsys):
@@ -428,7 +462,7 @@ def test_gen_sudoku_bad_flag_is_quoted_by_its_start(capsys):
     code, stdout, stderr = run(capsys, "gen-sudoku", "--q", "3", "--flag", flag)
     assert (code, stdout) == (2, "")
     assert stderr == (
-        f"error: line 1: --flag needs 5 comma-separated integers, got {flag[:40]!r}"
+        f"error: --flag needs 5 comma-separated integers, got {flag[:40]!r}"
         "... (5008 characters)\n"
     )
 
@@ -475,6 +509,21 @@ def test_info_rejects_orders_above_256(capsys):
     assert code == 2
     assert stdout == ""
     assert stderr == "error: field order must be at most 256, got 257\n"
+
+
+def test_huge_field_orders_are_cut_in_errors(tmp_path, capsys):
+    huge = "1" + "0" * 3000
+    code, stdout, stderr = run(capsys, "info", "--q", huge)
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        f"error: field order must be at most 256, got {huge[:40]!r}... (3001 characters)\n"
+    )
+    flags = tmp_path / "flags.txt"
+    flags.write_text(f"flags q={'7' * 4000} count=1\n1 1 0 1 1\n")
+    code, stdout, stderr = run(capsys, "check-family", str(flags))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: line 1: field order must be at most 256, got '7777")
+    assert len(stderr.encode()) < 200
 
 
 def test_info_rejects_composite(capsys):

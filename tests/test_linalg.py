@@ -7,17 +7,24 @@ import random
 
 import pytest
 
-from linalg_oracle import contains, pack, span_elements, subspace_sum, vec_add
+from linalg_oracle import (
+    contains,
+    flag_from_spaces,
+    pack,
+    span_elements,
+    subspace_sum,
+    vec_add,
+)
 from sudoku_ooa import (
     SizeUnsupported,
     det,
-    flag_from_vectors,
     intersect,
     make_field,
     subspace_from,
     trivial_intersection,
 )
-from sudoku_ooa.linalg import coset_index_map, rank
+from sudoku_ooa.linalg import rank
+from sudoku_ooa.sudoku import coset_index_map
 
 
 def test_det_examples():
@@ -99,12 +106,12 @@ def test_intersect_rejects_field_mismatch():
         trivial_intersection(a, b)
 
 
-def _random_flag(f, rng):
-    """Flag <v1, v2> < <v1, v2, v3> from random vectors; sudoku or not."""
+def _random_spaces(f, rng):
+    """Spaces <v1, v2> < <v1, v2, v3> from random vectors; sudoku or not."""
     while True:
-        vecs = [tuple(rng.randrange(f.q) for _ in range(4)) for _ in range(3)]
+        v1, v2, v3 = vecs = [tuple(rng.randrange(f.q) for _ in range(4)) for _ in range(3)]
         if rank(f, vecs) == 3:
-            return flag_from_vectors(f, *vecs)
+            return subspace_from(f, [v1, v2]), subspace_from(f, vecs)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -116,12 +123,12 @@ def test_cosets_partition(q):
     rng = random.Random(q)
     points = list(itertools.product(range(q), repeat=4))  # packed order
     for _ in range(6):
-        flag = _random_flag(f, rng)
-        symbols = coset_index_map(flag.radix_space, flag.symbol_space)
+        symbol_space, radix_space = _random_spaces(f, rng)
+        symbols = coset_index_map(flag_from_spaces(symbol_space, radix_space))
         assert sorted(set(symbols)) == list(range(q * q))
         first = [symbols.index(sym) for sym in range(q * q)]
-        sym_members = span_elements(flag.symbol_space)
-        radix_members = span_elements(flag.radix_space)
+        sym_members = span_elements(symbol_space)
+        radix_members = span_elements(radix_space)
         covered = set()
         for sym, m in enumerate(first):
             coset = [vec_add(f, points[m], w) for w in sym_members]

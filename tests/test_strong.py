@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from composite_oracle import HypothesisViolated, gamma_composite
 import fixtures as fx
 import sudoku_ooa
 from sudoku_ooa import (
     BandedArray,
     FlagData,
-    HypothesisViolated,
     NotMutuallyOrthogonal,
     array_from_text,
     array_to_text,
@@ -26,7 +26,6 @@ from sudoku_ooa import (
     condition_index_tuples,
     construct_family,
     det,
-    gamma_composite,
     generate,
     intersect,
     make_field,
@@ -117,7 +116,7 @@ def test_gamma_composite_matches_intersection(q):
             closed = gamma_composite(d1, d2)
         except HypothesisViolated:
             continue
-        meet = intersect(d1.flag().radix_space, d2.flag().radix_space)
+        meet = intersect(d1.spaces()[1], d2.spaces()[1])
         assert meet.dim == 2
         assert subspace_gamma(meet) == closed
         done += 1
@@ -133,7 +132,7 @@ def test_check_algebraic_pair3_all_pass():
 
 def test_pair3_intersection_datum():
     d1, d2 = pair3_data()
-    meet = intersect(d1.flag().radix_space, d2.flag().radix_space)
+    meet = intersect(d1.spaces()[1], d2.spaces()[1])
     assert meet.dim == 2
     assert subspace_gamma(meet) == ((0, 2), (1, 0))
     assert gamma_composite(d1, d2) == ((0, 2), (1, 0))
@@ -347,7 +346,7 @@ def test_checker_agreement_without_composite_datum():
     ]
     with pytest.raises(HypothesisViolated):
         gamma_composite(data[0], data[1])
-    meet = intersect(data[0].flag().radix_space, data[1].flag().radix_space)
+    meet = intersect(data[0].spaces()[1], data[1].spaces()[1])
     assert meet.dim == 2
     assert subspace_gamma(meet) is None
     for size in (3, 4):
