@@ -11,7 +11,9 @@ or 2 rows (mode ``sa``).
 
 Verification works on packed rows: each row is one integer with a fixed-width
 slot per column, so a row set's q^4 tuple keys come out of a few big-integer
-operations instead of a loop over columns.  A scan of at least
+operations instead of a loop over columns.  One driver, ``failing_sets``,
+runs every scan: ``verify`` asks it for the first failing set and
+``strong.check_combinatorial`` for all of them.  A scan of at least
 ``PARALLEL_WORK`` key tuples (row sets x q^4) on more than one CPU is split
 into up to ``MAX_WORKERS`` contiguous blocks of row sets: the calling process
 scans the first and a worker process (``workers``) each further one, and the
@@ -295,23 +297,37 @@ def verify(array: BandedArray, mode: str = "ooa") -> VerifyResult:
 
     Mode ``ooa`` checks every top-justified set, ``sa`` only the sudoku
     top-justified ones.  Returns the first failing set with a duplicated
-    tuple and its two column indices.
-
-    The sets are scanned in contiguous blocks, one per process (see
-    _worker_count): this process scans block 0 and a worker (``workers``)
-    each further block.  The hit of the lowest block that has one is the
-    answer, so it is the first failing set whatever the number of processes.
-    Every worker is killed once a lower block has failed, and reaped before
-    this returns or raises.  A worker that exits non-zero raises OSError, a
-    malformed reply ValueError.
+    tuple and its two column indices, whatever the number of processes the
+    scan is split across (see failing_sets).
     """
     if mode not in ("ooa", "sa"):
         raise ValueError(f"unknown mode {mode!r}")
     sets = [
         rs for rs in top_justified_sets(array.s) if mode == "ooa" or classify(rs) == "sudoku-TJ"
     ]
+    for index, (dup, first, second) in failing_sets(array, sets, first_only=True):
+        return VerifyResult(False, sets[index], dup, first, second)
+    return VerifyResult(True)
+
+
+def failing_sets(array: BandedArray, sets, first_only: bool) -> list:
+    """[(index, (tuple, col_a, col_b))] of the failing sets, by ascending index.
+
+    Each hit is what ``duplicate_finder`` gives for sets[index].  With
+    `first_only` the list holds at most the lowest failing set, since this
+    process and each worker stop at their first.
+
+    The sets are scanned in contiguous blocks, one per process (see
+    _worker_count): this process scans block 0 and a worker (``workers``)
+    each further block.  The blocks' hits are read in block order, so the
+    answer is the one a single process gives.  With `first_only`, every
+    worker is killed once a lower block has failed.  Each worker is reaped
+    before this returns or raises.  A worker that exits non-zero raises
+    OSError, a malformed reply ValueError.
+    """
     w = _worker_count(len(sets), array.q)
-    blocks = [sets[len(sets) * k // w : len(sets) * (k + 1) // w] for k in range(w)]
+    bounds = [len(sets) * k // w for k in range(w + 1)]
+    blocks = [sets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     procs = []
     try:
         if w > 1:
@@ -320,21 +336,22 @@ def verify(array: BandedArray, mode: str = "ooa") -> VerifyResult:
             from . import workers
 
             for block in blocks[1:]:
-                procs.append(workers.start(array, block))
+                procs.append(workers.start(array, block, first_only))
         # Packed once per call, not cached on the array: at q = 16 the packed
         # rows take 2.6 MB, which a caller such as `construct` would otherwise
         # keep alive while it writes the array out.
         first_duplicate = duplicate_finder(array)
-        hit = None
-        for rowset in blocks[0]:
-            found = first_duplicate(rowset)
-            if found is not None:
-                hit = rowset, found
-                break
-        for proc, block in zip(procs, blocks[1:]):
+        hits = []
+        for index, rowset in enumerate(blocks[0]):
+            hit = first_duplicate(rowset)
             if hit is not None:
+                hits.append((index, hit))
+                if first_only:
+                    break
+        for lo, proc, block in zip(bounds[1:], procs, blocks[1:]):
+            if first_only and hits:
                 break
-            hit = workers.first_hit(proc, block, first_duplicate)
+            hits += [(lo + index, hit) for index, hit in workers.hits(proc, block, first_duplicate)]
     finally:
         for proc in procs:
             proc.kill()  # does nothing to a worker already reaped
@@ -342,10 +359,7 @@ def verify(array: BandedArray, mode: str = "ooa") -> VerifyResult:
             proc.wait()
             proc.stdout.close()
             proc.stderr.close()
-    if hit is None:
-        return VerifyResult(True)
-    rowset, (dup, first, second) = hit
-    return VerifyResult(False, rowset, dup, first, second)
+    return hits
 
 
 def _cpus() -> int:

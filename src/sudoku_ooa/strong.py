@@ -9,8 +9,9 @@ checkers evaluate the system:
 * ``check_algebraic`` works on flag data alone, through 2x2/3x3 determinants
   and subspace intersections;
 * ``check_combinatorial`` works on the family's assembled banded array: it
-  runs the exhaustive exactly-once test on the one to three top-justified
-  row sets that ``ROW_SETS`` assigns to each condition.  This is the paper's
+  runs the exhaustive exactly-once test on every top-justified row set, and
+  each condition reads the verdicts of the one to three sets that
+  ``ROW_SETS`` assigns to it.  This is the paper's
   correspondence: the family is strongly orthogonal exactly when its array
   is an OOA(4,s,2,q).
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .linalg import Subspace, det, intersect, mat_sub, subspace_from, trivial_intersection
-from .ooa import BandedArray, duplicate_finder, repeat_text
+from .ooa import BandedArray, failing_sets, repeat_text, top_justified_sets
 from .sudoku import FlagData, datum_violation, subspace_gamma
 
 
@@ -268,32 +269,27 @@ def check_combinatorial(array: BandedArray) -> ConditionReport:
     """Evaluate the condition system on a family's array by exhaustive enumeration.
 
     The array is read as ``assemble`` lays it out: bands 3..s are the members,
-    and column m holds grid cell (m // q^2, m % q^2).  Each condition is the
-    exactly-once test of its ``ROW_SETS``, scanned with ``verify``'s scanner; a
-    set that several entries name is scanned once.  A failing set's witness
-    names its first repeated tuple and the grid cells of the two columns that
-    carry it.  The members must be mutually orthogonal sudoku solutions; that
-    precondition is verified first and its pair verdicts appear under the
-    label ``orth``.
+    and column m holds grid cell (m // q^2, m % q^2).  Every top-justified set
+    is scanned once, by ``verify``'s driver ``failing_sets``, and each
+    condition reads the verdicts of its ``ROW_SETS``; these are all the
+    top-justified sets but the location rows', so a set outside the scan is a
+    KeyError, never a pass.  A failing set's witness names its first repeated
+    tuple and the grid cells of the two columns that carry it.  The members
+    must be mutually orthogonal sudoku solutions; that precondition is
+    verified first and its pair verdicts appear under the label ``orth``.
     """
     n = array.s - 2
-    first_duplicate = duplicate_finder(array)
     side = array.q**2
-    witnesses: dict[frozenset, str | None] = {}
-
-    def violation(rowset) -> str | None:
-        key = frozenset(rowset)
-        if key not in witnesses:
-            hit = first_duplicate(key)
-            if hit is not None:
-                dup, first, second = hit
-                where = f"cells {divmod(first, side)} and {divmod(second, side)}"
-                hit = repeat_text(key, dup, where)
-            witnesses[key] = hit
-        return witnesses[key]
+    sets = top_justified_sets(array.s)
+    witnesses = dict.fromkeys(sets)
+    for index, (dup, first, second) in failing_sets(array, sets, first_only=False):
+        where = f"cells {divmod(first, side)} and {divmod(second, side)}"
+        witnesses[sets[index]] = repeat_text(sets[index], dup, where)
 
     def check(label):
-        return lambda *idx: next(filter(None, map(violation, ROW_SETS[label](*idx))), None)
+        return lambda *idx: next(
+            filter(None, (witnesses[frozenset(rs)] for rs in ROW_SETS[label](*idx))), None
+        )
 
     for t in range(1, n + 1):
         why = check("sudoku")(t)

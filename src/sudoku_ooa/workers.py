@@ -1,14 +1,14 @@
-"""Worker processes for a split row-set scan (see ``ooa.verify``).
+"""Worker processes for a split row-set scan (see ``ooa.failing_sets``).
 
 A worker is a fresh interpreter, started with ``subprocess`` rather than a
 pool, so nothing outlives the call that started it.  Its stdin is an
-anonymous file holding a JSON header line, {"q", "s", "parent", "sets"}, then
-the array's 2s rows as the array stores them, q^4 bytes each.  It rebuilds
-the array from those bytes, scans its sets in order with
+anonymous file holding a JSON header line, {"q", "s", "parent", "first_only",
+"sets"}, then the array's 2s rows as the array stores them, q^4 bytes each.
+It rebuilds the array from those bytes, scans its sets in order with
 ``ooa.duplicate_finder``, and replies on its stdout pipe with one JSON line,
-{"first": <index in its block of the first failing set> | null}.  It exits
-without a reply at its next set once the process named in "parent" is no
-longer its parent.
+{"failing": [indices in its block of the failing sets]}, ascending; with
+"first_only" it stops at the first.  It exits without a reply at its next
+set once the process named in "parent" is no longer its parent.
 """
 
 from __future__ import annotations
@@ -34,15 +34,14 @@ ARGV = (
 )
 
 
-def start(array: BandedArray, block) -> subprocess.Popen:
-    """A worker scanning `block` of `array`.
+def start(array: BandedArray, block, first_only: bool) -> subprocess.Popen:
+    """A worker scanning `block` of `array`, stopping at its first hit if `first_only`.
 
     Its input is written to the anonymous file before it starts, so nothing
     here waits on the worker.
     """
-    header = {
-        "q": array.q, "s": array.s, "parent": os.getpid(), "sets": [sorted(rs) for rs in block]
-    }
+    header = {"q": array.q, "s": array.s, "parent": os.getpid(), "first_only": first_only}
+    header["sets"] = [sorted(rs) for rs in block]
     with tempfile.TemporaryFile() as inp:
         inp.write(json.dumps(header).encode() + b"\n")
         for row in array.rows:
@@ -51,12 +50,13 @@ def start(array: BandedArray, block) -> subprocess.Popen:
         return subprocess.Popen(ARGV, stdin=inp, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
-def first_hit(proc: subprocess.Popen, block, first_duplicate):
-    """(rowset, hit) of the worker's first failing set, or None; reaps the worker.
+def hits(proc: subprocess.Popen, block, first_duplicate) -> list:
+    """[(index in block, hit)] of the worker's failing sets; reaps the worker.
 
-    The hit is found again with this process's `first_duplicate`, so a reply
-    naming a set that does not fail is malformed.  A non-zero exit raises
-    OSError, a malformed reply ValueError.
+    Each hit is found again with this process's `first_duplicate`.  A reply
+    is malformed unless its "failing" is a list of ints, not bools, strictly
+    increasing and in range, each naming a set that fails.  A non-zero exit
+    raises OSError, a malformed reply ValueError.
     """
     out, err = proc.communicate()
     if proc.returncode != 0:
@@ -65,17 +65,19 @@ def first_hit(proc: subprocess.Popen, block, first_duplicate):
             f"a row-set scan worker exited with code {proc.returncode}"
             + "".join(f": {line}" for line in last)
         )
+    malformed = ValueError(f"malformed reply from a row-set scan worker: {out[:80]!r}")
     try:
-        index = json.loads(out)["first"]
+        failing = json.loads(out)["failing"]
     except (ValueError, TypeError, KeyError):
-        index = -1  # no index: malformed
-    if index is None:
-        return None
-    if isinstance(index, int) and 0 <= index < len(block):
-        hit = first_duplicate(block[index])
-        if hit is not None:
-            return block[index], hit
-    raise ValueError(f"malformed reply from a row-set scan worker: {out[:80]!r}")
+        raise malformed from None
+    if type(failing) is not list or any(type(index) is not int for index in failing):
+        raise malformed
+    if failing != sorted(set(failing) & set(range(len(block)))):  # not ascending, or out of range
+        raise malformed
+    found = [(index, first_duplicate(block[index])) for index in failing]
+    if any(hit is None for _, hit in found):
+        raise malformed
+    return found
 
 
 def serve(inp, out) -> None:
@@ -85,11 +87,12 @@ def serve(inp, out) -> None:
     first_duplicate = duplicate_finder(
         BandedArray(q, s, tuple(inp.read(q**STRENGTH) for _ in range(2 * s)))
     )
-    first = None
+    failing = []
     for index, labels in enumerate(header["sets"]):
         if os.getppid() != header["parent"]:
             return
         if first_duplicate(frozenset(map(tuple, labels))) is not None:
-            first = index
-            break
-    out.write(json.dumps({"first": first}) + "\n")
+            failing.append(index)
+            if header["first_only"]:
+                break
+    out.write(json.dumps({"failing": failing}) + "\n")

@@ -193,8 +193,9 @@ def test_verify_parse_error(tmp_path, capsys):
 
 
 def test_interrupt_is_one_line_and_exit_130(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "a.txt"
-    assert main(["construct", "--q", "3", "--s", "4", "--out", str(path)]) == 0
+    array, flags = tmp_path / "a.txt", tmp_path / "f.txt"
+    assert main(["construct", "--q", "3", "--s", "4", "--out", str(array)]) == 0
+    assert main(["construct", "--q", "3", "--s", "4", "--emit", "flags", "--out", str(flags)]) == 0
     capsys.readouterr()
 
     def interrupted_finder(array):
@@ -204,8 +205,9 @@ def test_interrupt_is_one_line_and_exit_130(tmp_path, capsys, monkeypatch):
         return scan
 
     monkeypatch.setattr(ooa, "duplicate_finder", interrupted_finder)
-    code, stdout, stderr = run(capsys, "verify", str(path))
-    assert (code, stdout, stderr) == (130, "", "error: interrupted\n")
+    for argv in (["verify", str(array)], ["check-family", str(flags), "--level", "combinatorial"]):
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout, stderr) == (130, "", "error: interrupted\n"), argv
 
 
 _BUDGET = "a 2s x q^4 array is limited to 16777216 entries"

@@ -263,10 +263,11 @@ ROW_SET_FORMS = {
 }
 
 
-@pytest.mark.parametrize("s", range(3, 9))
+@pytest.mark.parametrize("s", range(3, 17))  # s = 15 is max_s at q = 27
 def test_row_sets_are_the_top_justified_sets_of_the_array(s):
     # Strong orthogonality <=> OOA: the conditions' row sets, preconditions
     # included, are every top-justified set except the four location rows.
+    # check_combinatorial looks each of them up in the scan of those sets.
     n = s - 2
     index_tuples = {
         "sudoku": [(t,) for t in range(1, n + 1)],

@@ -1,12 +1,15 @@
-"""verify split across worker processes against verify in one process.
+"""The split row-set scan against the scan in one process.
 
+``verify`` and ``check_combinatorial`` share one driver, ``ooa.failing_sets``.
 The threshold ``PARALLEL_WORK`` is set to 0 to force the split and to
 infinity to forbid it, and the CPU count to 3, so small arrays scan in three
 blocks: block 0 in this process, blocks 1 and 2 in workers.  Corrupted copies
 put the first failing set in a chosen block; workers of lower blocks are slowed
 down so that a later block's hit arrives first, and the earliest set must
-still win.  After every call, this process has no child left (checked where
-/proc lists children).
+still win.  Failing families put the condition report's failing sets in two
+or three blocks, and the split report must be the one-process report.  After
+every call, this process has no child left (checked where /proc lists
+children).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import glob
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -23,8 +27,19 @@ from pathlib import Path
 
 import pytest
 
+import fixtures as fx
 from sudoku_ooa import (
-    BandedArray, assemble, construct_family, generate, ooa, top_justified_sets, workers
+    BandedArray,
+    NotMutuallyOrthogonal,
+    assemble,
+    check_combinatorial,
+    construct_family,
+    generate,
+    make_field,
+    ooa,
+    substrong_family,
+    top_justified_sets,
+    workers,
 )
 from sudoku_ooa.cli import main
 
@@ -50,16 +65,24 @@ def assert_no_new_child(before: set[str] | None) -> None:
         assert children() <= before
 
 
-def run_verify(monkeypatch, array, mode="ooa", parallel=True):
-    """verify with the split forced or forbidden; no child may outlive it."""
+def run_split(monkeypatch, call, parallel=True):
+    """call() with the split forced or forbidden; no child may outlive it."""
     before = children()
     with monkeypatch.context() as m:
         m.setattr(ooa, "PARALLEL_WORK", 0 if parallel else math.inf)
         m.setattr(ooa, "_cpus", lambda: BLOCKS)
         try:
-            return ooa.verify(array, mode)
+            return call()
         finally:
             assert_no_new_child(before)
+
+
+def run_verify(monkeypatch, array, mode="ooa", parallel=True):
+    return run_split(monkeypatch, lambda: ooa.verify(array, mode), parallel)
+
+
+def run_check(monkeypatch, array, parallel=True):
+    return run_split(monkeypatch, lambda: check_combinatorial(array), parallel)
 
 
 def mode_sets(s: int, mode: str) -> list:
@@ -80,11 +103,16 @@ def corrupted(array: BandedArray, labels) -> BandedArray:
     return BandedArray(array.q, array.s, tuple(map(tuple, rows)))
 
 
+def failing_indices(array: BandedArray, sets) -> list[int]:
+    """Indices of the failing sets, by the serial scanner."""
+    scan = ooa.duplicate_finder(array)
+    return [i for i, rs in enumerate(sets) if scan(rs) is not None]
+
+
 def failing_blocks(array: BandedArray, mode: str) -> list[int]:
     """Blocks that hold a failing set, in order, by the serial scanner."""
     sets = mode_sets(array.s, mode)
-    scan = ooa.duplicate_finder(array)
-    return sorted({block_of(i, len(sets)) for i, rs in enumerate(sets) if scan(rs) is not None})
+    return sorted({block_of(i, len(sets)) for i in failing_indices(array, sets)})
 
 
 def delaying_worker(delays: dict[int, float], array: BandedArray, mode: str) -> tuple:
@@ -99,6 +127,19 @@ def delaying_worker(delays: dict[int, float], array: BandedArray, mode: str) -> 
         "first = json.dumps(json.loads(data.split(b'\\n', 1)[0])['sets'][0]); "
         f"time.sleep({by_first!r}.get(first, 0)); "
         "serve(io.BytesIO(data), sys.stdout)"
+    )
+    return (sys.executable, "-I", "-c", code)
+
+
+def garbling_worker(served, array: BandedArray, mode: str) -> tuple:
+    """Worker argv that scans the blocks in `served` and replies PASS to the rest."""
+    sets = mode_sets(array.s, mode)
+    firsts = {json.dumps(sorted(sets[len(sets) * k // BLOCKS])) for k in served}
+    code = (
+        f"import io, json, sys; sys.path.insert(0, {str(SRC)!r}); "
+        "from sudoku_ooa.workers import serve; data = sys.stdin.buffer.read(); "
+        "first = json.dumps(json.loads(data.split(b'\\n', 1)[0])['sets'][0]); "
+        f"serve(io.BytesIO(data), sys.stdout) if first in {firsts!r} else print('PASS')"
     )
     return (sys.executable, "-I", "-c", code)
 
@@ -170,34 +211,67 @@ def test_own_block_wins_when_the_workers_reply_first(monkeypatch):
     assert run_verify(monkeypatch, array) == serial
 
 
-@pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
-def test_workers_are_reaped_when_the_own_scan_raises(monkeypatch, error):
-    def raising_finder(arr):
+@pytest.mark.parametrize("labels", [[(3, 1)], [(2, 2)]], ids=["block-0", "block-1"])
+def test_first_only_reads_no_reply_past_the_first_failing_block(monkeypatch, labels):
+    # Workers of later blocks are killed unread: a malformed reply there is no error.
+    array = corrupted(family_array(7), labels)
+    serial = run_verify(monkeypatch, array, parallel=False)
+    first = failing_blocks(array, "ooa")[0]
+    monkeypatch.setattr(workers, "ARGV", garbling_worker(range(1, first + 1), array, "ooa"))
+    assert run_verify(monkeypatch, array) == serial
+
+
+def raising_finder(error):
+    """A duplicate_finder whose scanner raises `error` on its first set."""
+
+    def finder(arr):
         def scan(rowset):
             raise error
 
         return scan
 
-    monkeypatch.setattr(ooa, "duplicate_finder", raising_finder)
+    return finder
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+def test_workers_are_reaped_when_the_own_scan_raises(monkeypatch, error):
+    monkeypatch.setattr(ooa, "duplicate_finder", raising_finder(error))
     with pytest.raises(error):
         run_verify(monkeypatch, family_array(3))
+
+
+def malformed(reply: str) -> str:
+    return f"error: malformed reply from a row-set scan worker: {(reply + chr(10)).encode()!r}\n"
 
 
 @pytest.mark.parametrize(
     "code,message",
     [
         ("import sys; sys.exit(3)", "error: a row-set scan worker exited with code 3\n"),
-        ("print('PASS')", "error: malformed reply from a row-set scan worker: b'PASS\\n'\n"),
-        (
-            "print('{\"first\": 0}')",  # set 0 of a passing array
-            "error: malformed reply from a row-set scan worker: b'{\"first\": 0}\\n'\n",
-        ),
-        (
-            "print('{\"first\": -1}')",
-            "error: malformed reply from a row-set scan worker: b'{\"first\": -1}\\n'\n",
-        ),
+        ("print('PASS')", malformed("PASS")),
+        ("print('{\"first\": null}')", malformed('{"first": null}')),  # the old reply
+        ("print('{\"failing\": [0]}')", malformed('{"failing": [0]}')),  # set 0 passes
+        ("print('{\"failing\": [-1]}')", malformed('{"failing": [-1]}')),
+        ("print('{\"failing\": [10]}')", malformed('{"failing": [10]}')),  # the block has 10
+        ("print('{\"failing\": [true]}')", malformed('{"failing": [true]}')),
+        ("print('{\"failing\": [2, 1]}')", malformed('{"failing": [2, 1]}')),
+        ("print('{\"failing\": [1, 1]}')", malformed('{"failing": [1, 1]}')),
+        ("print('{\"failing\": 0}')", malformed('{"failing": 0}')),
+        ("print('[0]')", malformed("[0]")),
     ],
-    ids=["exit-3", "not-json", "set-passes", "bad-index"],
+    ids=[
+        "exit-3",
+        "not-json",
+        "old-reply",
+        "set-passes",
+        "bad-index",
+        "past-the-block",
+        "bool-index",
+        "decreasing",
+        "repeated",
+        "not-a-list",
+        "not-an-object",
+    ],
 )
 def test_failed_worker_is_an_error_not_a_verdict(tmp_path, monkeypatch, capsys, code, message):
     path = tmp_path / "a.txt"
@@ -213,12 +287,34 @@ def test_failed_worker_is_an_error_not_a_verdict(tmp_path, monkeypatch, capsys, 
     assert_no_new_child(before)
 
 
+def test_reply_rules_hold_where_the_named_sets_fail(monkeypatch):
+    # Every set of the block fails, so only the rule under test rejects a reply.
+    array = corrupted(family_array(3), [(1, 1)])
+    block = [rs for rs in top_justified_sets(array.s) if (1, 1) in rs][:3]
+    finder = ooa.duplicate_finder(array)
+    assert all(finder(rs) is not None for rs in block)
+
+    def reply(failing):
+        code = f"print({json.dumps({'failing': failing})!r})"
+        monkeypatch.setattr(workers, "ARGV", (sys.executable, "-c", code))
+        return workers.hits(workers.start(array, block, False), block, finder)
+
+    assert reply([0, 2]) == [(0, finder(block[0])), (2, finder(block[2]))]
+    assert reply([]) == []
+    for failing in ([True], [2, 1], [1, 1], [0, 0, 2], 1, None, [1.0], [-3], [3], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="malformed reply"):
+            reply(failing)
+
+
 def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
     array = corrupted(family_array(3), [(1, 1)])
     sets = mode_sets(array.s, "ooa")
 
-    def scan(parent):
-        header = {"q": 3, "s": array.s, "parent": parent, "sets": [sorted(rs) for rs in sets]}
+    def scan(parent, first_only):
+        header = {
+            "q": 3, "s": array.s, "parent": parent, "first_only": first_only,
+            "sets": [sorted(rs) for rs in sets],
+        }
         inp = tmp_path / "in"
         inp.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(array.rows))
         out = tmp_path / "out"
@@ -233,11 +329,86 @@ def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
         return ooa.duplicate_finder(arr)
 
     monkeypatch.setattr(workers, "duplicate_finder", recording_finder)
-    assert ooa.duplicate_finder(array)(sets[0]) is not None
-    assert scan(os.getppid()) == '{"first": 0}\n'
-    assert scan(-1) == ""
-    assert rebuilt == [array, array]
+    failing = failing_indices(array, sets)
+    assert failing[0] == 0 and len(failing) > 1
+    for first_only, expected in ((True, [0]), (False, failing)):
+        assert scan(os.getppid(), first_only) == json.dumps({"failing": expected}) + "\n"
+        assert scan(-1, first_only) == ""
+    assert rebuilt == [array] * 4
     assert all(type(row) is bytes for arr in rebuilt for row in arr.rows)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_split_check_combinatorial_matches_one_process_on_passing_families(monkeypatch, q):
+    array = family_array(q)
+    serial = run_check(monkeypatch, array, parallel=False)
+    split = run_check(monkeypatch, array)
+    assert serial.passed
+    assert split == serial
+    assert split.to_text() == serial.to_text()
+
+
+def failing_families() -> dict:
+    """Array by the blocks that hold its failing sets, for two or three blocks.
+
+    A substrong prefix fails in blocks 0 and 1; seeded random families of two
+    to four members give the first family of each other pattern.
+    """
+    arrays = [assemble([generate(d.flag()) for d in substrong_family(7).data[:6]])]
+    for q in (4, 5, 7):
+        field, rng = make_field(q), random.Random(q)
+        for size in (2, 3, 4) * 6:
+            data = fx.random_orthogonal_family(field, size, rng, tries=60)
+            if data is not None:
+                arrays.append(assemble([generate(d.flag()) for d in data]))
+    found = {}
+    for array in arrays:
+        sets = top_justified_sets(array.s)
+        blocks = frozenset(block_of(i, len(sets)) for i in failing_indices(array, sets))
+        if len(blocks) >= 2:
+            found.setdefault(blocks, array)
+    return found
+
+
+def test_split_check_combinatorial_matches_one_process_on_failing_families(monkeypatch):
+    found = failing_families()
+    assert sorted(map(sorted, found)) == [[0, 1], [0, 1, 2], [0, 2], [1, 2]]
+    for array in found.values():
+        serial = run_check(monkeypatch, array, parallel=False)
+        split = run_check(monkeypatch, array)
+        assert not serial.passed
+        assert split == serial
+        assert split.to_text() == serial.to_text()
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+def test_check_combinatorial_reaps_its_workers_when_the_scan_raises(monkeypatch, error):
+    monkeypatch.setattr(ooa, "duplicate_finder", raising_finder(error))
+    with pytest.raises(error):
+        run_check(monkeypatch, family_array(3))
+
+
+def not_a_sudoku():
+    rows = [list(r) for r in fx.PAIR3_M1.rows]
+    rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
+    return fx.grid(3, rows)
+
+
+@pytest.mark.parametrize(
+    "grids,match",
+    [
+        ([fx.PAIR3_M1, fx.PAIR3_M1], "members 1 and 2"),
+        ([fx.PAIR3_M2, not_a_sudoku()], "member 2 is not a sudoku solution"),
+    ],
+    ids=["not-orthogonal", "not-sudoku"],
+)
+def test_check_combinatorial_leaves_no_worker_when_the_family_is_refused(
+    monkeypatch, grids, match
+):
+    # The split scan runs to the end, and the refusal is raised after it.
+    array = assemble(grids)
+    with pytest.raises(NotMutuallyOrthogonal, match=match):
+        run_check(monkeypatch, array)
 
 
 def test_worker_count_threshold(monkeypatch):
