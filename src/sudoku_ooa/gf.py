@@ -6,6 +6,16 @@ index sum(c_i * p**i).  Index 0 is zero and index 1 is one, so for prime
 fields the index is just the residue.  Each field precomputes add, neg, mul
 and inv tables when it is made, so every operation is one list lookup.
 Larger orders are refused: a q = 257 array would have 4.4e9 columns.
+
+The tables come from the definition of Z_p[x]/(m), with no polynomial
+arithmetic.  The sum table adds the constant digits mod p and reads the sum
+of the higher digits from an earlier row.  The product table follows one
+rule per row: a*b = a*(b-1) + a when b's constant digit is nonzero, and
+a*b = x*(a*(b // p)) otherwise, where multiplying by x shifts the digits up
+one place and reduces x^k by the modulus.  The modulus is the first monic
+degree-k candidate, in index order, whose product table has no zero
+divisor, which is the first irreducible one.  Negatives and inverses are the
+positions of 0 and 1 in the rows of the two tables.
 """
 
 from __future__ import annotations
@@ -45,68 +55,63 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
         raise NotPrimePower(f"field order must be at least 2, got {_decimal(q)}")
     if q > MAX_ORDER:
         raise NotPrimePower(f"field order must be at most {MAX_ORDER}, got {_decimal(q)}")
-    for p in range(2, q + 1):
-        if p * p > q:
-            return q, 1  # q itself is prime
-        if q % p == 0:
-            k = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                k += 1
-            if n != 1:
-                raise NotPrimePower(f"{q} is not a prime power")
-            return p, k
-    raise NotPrimePower(f"{q} is not a prime power")
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # the smallest divisor is prime
+    k = 1
+    while p**k < q:
+        k += 1
+    if p**k != q:
+        raise NotPrimePower(f"{q} is not a prime power")
+    return p, k
 
 
-# -- polynomials over Z_p as coefficient lists, constant term first --------
+def _sum_table(p: int, q: int) -> list[int]:
+    """Table of a + b at a*q + b in GF(q), q = p**k, for any modulus.
+
+    The constant digit of a + b is (a + b) % p, and its higher digits are the
+    sum of a // p and b // p, whose index is below q / p; that sum sits in
+    row a // p, which is row 0 (the identity) or a row before row a.
+    """
+    add = list(range(q))
+    for a in range(1, q):
+        up = a // p * q
+        add += [(a + b) % p + p * add[up + b // p] for b in range(q)]
+    return add
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _product_table(p: int, q: int, m: int, add: list[int]) -> list[int] | None:
+    """Table of a * b at a*q + b in R = Z_p[x]/(M), or None if R has a zero divisor.
 
+    M = x**k + m(x) is monic of degree k, with m the index of its lower
+    coefficients.  Row a follows from one rule, by induction on b.  If b's
+    constant digit is nonzero, then b - 1 is b with that digit lowered by one,
+    so a*b = a*(b - 1) + a.  Otherwise b = x * (b // p), so
+    a*b = x * (a*(b // p)) by associativity and commutativity.  Multiplying c
+    by x shifts its digits up one place, and its top digit t becomes
+    t * x**k = -t * m(x).
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = _poly_trim(list(a))
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        shift = len(a) - 1 - dm
-        factor = (a[-1] * inv_lead) % p
-        for i, c in enumerate(m):
-            a[i + shift] = (a[i + shift] - factor * c) % p
-        _poly_trim(a)
-    return a
-
-
-def _is_irreducible(poly: list[int], p: int, k: int) -> bool:
-    # Trial division by every monic polynomial of degree 1..k//2.
-    for d in range(1, k // 2 + 1):
-        for idx in range(p**d):
-            divisor = _index_coeffs(idx, p, d) + [1]
-            if not _poly_mod(poly, divisor, p):
-                return False
-    return True
-
-
-def _index_coeffs(idx: int, p: int, k: int) -> list[int]:
-    out = []
-    for _ in range(k):
-        idx, c = divmod(idx, p)
-        out.append(c)
-    return out
+    R is a field exactly when M is irreducible, and a finite commutative ring
+    with no zero divisors is a field: for a != 0, a*b = a*c means
+    a*(b - c) = 0 and so b = c, so row a is a permutation and holds a 1.
+    If M = f*g is reducible, take f monic of degree at most k/2: f and g are
+    nonzero of degree below k and f*g = 0, so row f has a 0 at column g, and
+    f < p**(k//2 + 1).  Building stops at the first row with a 0 past
+    column 0, so a reducible candidate costs at most that many rows.
+    """
+    top = q // p  # p**(k-1), the weight of the top digit
+    minus_m = add.index(0, m * q, m * q + q) - m * q
+    scaled = [0]  # t * -m for t in 0..p-1
+    for _ in range(1, p):
+        scaled.append(add[scaled[-1] * q + minus_m])
+    times_x = [add[c % top * p * q + scaled[c // top]] for c in range(q)]
+    mul = [0] * q
+    for a in range(1, q):
+        row = [0] * q
+        for b in range(1, q):
+            row[b] = add[row[b - 1] * q + a] if b % p else times_x[row[b // p]]
+        if row.count(0) > 1:
+            return None
+        mul += row
+    return mul
 
 
 class Field:
@@ -117,20 +122,16 @@ class Field:
     after construction, hence safe to share between threads.
     """
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...], add: list[int], mul: list[int]):
         self.p = p
         self.k = k
-        self.q = p**k
+        self.q = q = p**k
         self.modulus = modulus
-        q = self.q
-        coeffs = [_index_coeffs(a, p, k) for a in range(q)]
-        self._add_table = [
-            self.index([x + y for x, y in zip(ca, cb)]) for ca in coeffs for cb in coeffs
-        ]
-        self._neg_table = [self.index([-x for x in c]) for c in coeffs]
-        self._mul_table = [self._mul_raw(a, b) for a in range(q) for b in range(q)]
-        # a^-1 = a^(q-2), built after the mul table, which pow reads.
-        self._inv_table = [0] + [self.pow(a, q - 2) for a in range(1, q)]
+        self._add_table = add
+        self._mul_table = mul
+        # -a and a^-1 are where 0 and 1 sit in row a of the sum and product tables.
+        self._neg_table = [add.index(0, a * q, a * q + q) - a * q for a in range(q)]
+        self._inv_table = [0] + [mul.index(1, a * q, a * q + q) - a * q for a in range(1, q)]
 
     def __repr__(self) -> str:
         return f"Field(q={self.q})"
@@ -146,15 +147,6 @@ class Field:
     def __hash__(self) -> int:
         return hash((self.p, self.k, self.modulus))
 
-    # -- element <-> coefficient views --
-
-    def index(self, coeffs) -> int:
-        """Canonical index of the element with the given coefficient vector."""
-        idx = 0
-        for c in reversed(list(coeffs)):
-            idx = idx * self.p + c % self.p
-        return idx
-
     # -- arithmetic --
 
     def add(self, a: int, b: int) -> int:
@@ -168,12 +160,6 @@ class Field:
 
     def mul(self, a: int, b: int) -> int:
         return self._mul_table[a * self.q + b]
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        prod = _poly_mul(
-            _index_coeffs(a, self.p, self.k), _index_coeffs(b, self.p, self.k), self.p
-        )
-        return self.index(_poly_mod(prod, list(self.modulus), self.p) + [0] * self.k)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -199,15 +185,18 @@ def make_field(q: int) -> Field:
     """Field of order q with the deterministic minimal modulus.
 
     The modulus is the monic irreducible degree-k polynomial whose non-leading
-    coefficient vector has the smallest canonical index.  For prime q that is
-    the polynomial x, the first one tried (a degree-1 polynomial has no
-    divisor to try), and arithmetic is plain mod p.
+    coefficient vector has the smallest canonical index: the first candidate
+    whose product table has no zero divisor (see _product_table).  For prime
+    q that is the polynomial x, the first one tried, and arithmetic is plain
+    mod p.
     """
     p, k = _factor_prime_power(q)
-    for idx in range(p**k):
-        coeffs = _index_coeffs(idx, p, k)
-        if _is_irreducible(coeffs + [1], p, k):
-            return Field(p, k, tuple(coeffs) + (1,))
+    add = _sum_table(p, q)
+    for m in range(q):
+        mul = _product_table(p, q, m, add)
+        if mul is not None:
+            modulus = tuple(m // p**i % p for i in range(k)) + (1,)
+            return Field(p, k, modulus, add, mul)
     raise NotPrimePower(f"no irreducible polynomial found for q={q}")  # pragma: no cover
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .linalg import Subspace, det, intersect, mat_sub, subspace_from, trivial_intersection
-from .ooa import BandedArray, failing_sets, repeat_text, top_justified_sets
+from .ooa import BandedArray, classify, failing_sets, repeat_text, top_justified_sets
 from .sudoku import FlagData, datum_violation, subspace_gamma
 
 
@@ -270,25 +270,42 @@ def check_combinatorial(array: BandedArray) -> ConditionReport:
 
     The array is read as ``assemble`` lays it out: bands 3..s are the members,
     and column m holds grid cell (m // q^2, m % q^2).  Every top-justified set
-    is scanned once, by ``verify``'s driver ``failing_sets``, and each
+    is scanned at most once, by ``verify``'s driver ``failing_sets``, and each
     condition reads the verdicts of its ``ROW_SETS``; these are all the
     top-justified sets but the location rows', so a set outside the scan is a
     KeyError, never a pass.  A failing set's witness names its first repeated
     tuple and the grid cells of the two columns that carry it.  The members
     must be mutually orthogonal sudoku solutions; that precondition is
     verified first and its pair verdicts appear under the label ``orth``.
+    Its row sets are the ``sudoku-TJ`` sets but the location rows', and they
+    are scanned first: the rest are scanned only when ``_report`` first reads
+    one of them, so a family that is not mutually orthogonal is refused
+    without them.
     """
     n = array.s - 2
     side = array.q**2
-    sets = top_justified_sets(array.s)
-    witnesses = dict.fromkeys(sets)
-    for index, (dup, first, second) in failing_sets(array, sets, first_only=False):
-        where = f"cells {divmod(first, side)} and {divmod(second, side)}"
-        witnesses[sets[index]] = repeat_text(sets[index], dup, where)
+    location = frozenset((X1, X2, X3, X4))
+    sudoku_sets, rest = [], []
+    for rs in top_justified_sets(array.s):
+        if classify(rs) != "sudoku-TJ":
+            rest.append(rs)
+        elif rs != location:
+            sudoku_sets.append(rs)
+    unscanned = [rest, sudoku_sets]  # popped: the precondition sets first
+    witnesses = {}
+
+    def witness(rs):
+        while rs not in witnesses and unscanned:
+            sets = unscanned.pop()
+            witnesses.update(dict.fromkeys(sets))
+            for index, (dup, first, second) in failing_sets(array, sets, first_only=False):
+                where = f"cells {divmod(first, side)} and {divmod(second, side)}"
+                witnesses[sets[index]] = repeat_text(sets[index], dup, where)
+        return witnesses[rs]
 
     def check(label):
         return lambda *idx: next(
-            filter(None, (witnesses[frozenset(rs)] for rs in ROW_SETS[label](*idx))), None
+            filter(None, (witness(frozenset(rs)) for rs in ROW_SETS[label](*idx))), None
         )
 
     for t in range(1, n + 1):

@@ -35,10 +35,6 @@ class Grid:
     q: int
     rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def side(self) -> int:
-        return self.q * self.q
-
 
 @dataclass(frozen=True)
 class Flag:

@@ -18,7 +18,7 @@ from sudoku_ooa.sudoku import first_repeat
 
 
 def _check_shapes(a: Grid, b: Grid) -> None:
-    if a.q != b.q or a.side != b.side:
+    if a.q != b.q:
         raise DimensionMismatch(f"grid shapes differ: q={a.q} vs q={b.q}")
 
 
@@ -44,7 +44,7 @@ def _first_non_permutation(lines, n: int) -> int | None:
 
 
 def latin_violation(grid: Grid) -> str | None:
-    side = grid.side
+    side = grid.q * grid.q
     for what, lines in (("row", grid.rows), ("column", zip(*grid.rows))):
         i = _first_non_permutation(lines, side)
         if i is not None:
@@ -62,7 +62,7 @@ def sudoku_violation(grid: Grid) -> str | None:
         for bi in range(q)
         for bj in range(q)
     )
-    i = _first_non_permutation(boxes, grid.side)
+    i = _first_non_permutation(boxes, q * q)
     if i is not None:
         return f"subsquare ({i // q},{i % q}) misses a symbol"
     return None
@@ -88,7 +88,7 @@ def repeated_pair(a: Grid, b: Grid, block: str = "grid") -> str | None:
     grids.  Cells are read row by row within a block, and reported as (r, c).
     """
     _check_shapes(a, b)
-    side = a.side
+    side = a.q * a.q
     height = side if block == "grid" else a.q
     rows_a, rows_b = a.rows, b.rows
     if block == "column":

@@ -54,7 +54,7 @@ def ref_duplicate(array, rowset):
 
 
 def ref_pair_witness(a, b, block):
-    q, side = a.q, a.side
+    q, side = a.q, a.q * a.q
     if block == "grid":
         blocks = [[(r, c) for r in range(side) for c in range(side)]]
     elif block == "row":
@@ -87,8 +87,9 @@ def location_array(q):
 
 def corrupt_cell(grid: Grid, rng: random.Random) -> Grid:
     rows = [list(row) for row in grid.rows]
-    r, c = rng.randrange(grid.side), rng.randrange(grid.side)
-    rows[r][c] = rng.choice([x for x in range(grid.side) if x != rows[r][c]])
+    side = grid.q * grid.q
+    r, c = rng.randrange(side), rng.randrange(side)
+    rows[r][c] = rng.choice([x for x in range(side) if x != rows[r][c]])
     return Grid(grid.q, tuple(tuple(row) for row in rows))
 
 

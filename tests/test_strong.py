@@ -34,6 +34,7 @@ from sudoku_ooa import (
     top_justified_sets,
 )
 from sudoku_ooa.families import SUBSTRONG_ALPHA
+from sudoku_ooa.ooa import failing_sets
 from sudoku_ooa.strong import CONDITION_LABELS, ROW_SETS
 
 
@@ -283,6 +284,41 @@ def test_row_sets_are_the_top_justified_sets_of_the_array(s):
             union.update(sets)
     locations = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
     assert union == set(top_justified_sets(s)) - {locations}
+
+
+@pytest.mark.parametrize("s", range(3, 17))
+def test_precondition_row_sets_are_the_sudoku_sets_but_the_locations(s):
+    # check_combinatorial scans these first and the rest only when the report
+    # reads one: the "sudoku" and "orth" sets are exactly the sets verify's
+    # sa mode scans, the sudoku-TJ ones, but the four location rows.
+    n = s - 2
+    sets = {frozenset(rs) for t in range(1, n + 1) for rs in ROW_SETS["sudoku"](t)}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        sets.update(frozenset(rs) for rs in ROW_SETS["orth"](i, j))
+    locations = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
+    sudoku_sets = {rs for rs in top_justified_sets(s) if classify(rs) == "sudoku-TJ"}
+    assert sets == sudoku_sets - {locations}
+
+
+@pytest.mark.parametrize("copied", [1, 3])
+def test_check_combinatorial_refuses_a_non_orthogonal_family_before_the_other_sets(
+    monkeypatch, copied
+):
+    # Member 4 repeats member `copied`: the family is refused from its
+    # precondition sets alone, without a scan of any other set.
+    data = list(construct_family(7, 5).data)
+    array = assemble([generate(d.flag()) for d in data + data[copied - 1 : copied]])
+    scanned = []
+
+    def recording(array, sets, first_only):
+        scanned.extend(sets)
+        return failing_sets(array, sets, first_only)
+
+    monkeypatch.setattr(sudoku_ooa.strong, "failing_sets", recording)
+    with pytest.raises(NotMutuallyOrthogonal, match=f"^members {copied} and 4: rows "):
+        check_combinatorial(array)
+    assert scanned
+    assert {classify(rs) for rs in scanned} == {"sudoku-TJ"}
 
 
 def test_checkers_refuse_a_family_without_members():

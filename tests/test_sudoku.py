@@ -176,7 +176,7 @@ def test_generate_is_sudoku():
     f = make_field(2)
     flag = FlagData(f, 1, 1, 0, 1, 1).flag()
     got = generate(flag)
-    assert got.side == 4
+    assert len(got.rows) == 4 and all(len(row) == 4 for row in got.rows)
     assert is_sudoku(got)
     assert subsquares_latin(radix(got))
 
