@@ -11,13 +11,14 @@ or 2 rows (mode ``sa``).
 
 Verification works on packed rows: each row is one integer with a fixed-width
 slot per column, so a row set's q^4 tuple keys come out of a few big-integer
-operations instead of a loop over columns.  One driver, ``failing_sets``,
-runs every scan: ``verify`` asks it for the first failing set and
-``strong.check_combinatorial`` for all of them.  A scan of at least
+operations instead of a loop over columns.  One driver, ``scan``, runs every
+scan: it yields each set's verdict in order, and its callers stop reading
+once they know enough, ``verify`` at the first failing set and
+``strong.check_combinatorial`` when a precondition fails.  A scan of at least
 ``PARALLEL_WORK`` key tuples (row sets x q^4) on more than one CPU is split
 into up to ``MAX_WORKERS`` contiguous blocks of row sets: the calling process
 scans the first and a worker process (``workers``) each further one, and the
-answer is the one a single process gives.  ``check_size`` refuses arrays
+verdicts are the ones a single process gives.  ``check_size`` refuses arrays
 above the ``MAX_ENTRIES`` memory budget; the array parser and every command
 that builds an array call it before building anything.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import os
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
 
@@ -298,37 +300,36 @@ def verify(array: BandedArray, mode: str = "ooa") -> VerifyResult:
     Mode ``ooa`` checks every top-justified set, ``sa`` only the sudoku
     top-justified ones.  Returns the first failing set with a duplicated
     tuple and its two column indices, whatever the number of processes the
-    scan is split across (see failing_sets).
+    scan is split across (see scan).
     """
     if mode not in ("ooa", "sa"):
         raise ValueError(f"unknown mode {mode!r}")
     sets = [
         rs for rs in top_justified_sets(array.s) if mode == "ooa" or classify(rs) == "sudoku-TJ"
     ]
-    for index, (dup, first, second) in failing_sets(array, sets, first_only=True):
-        return VerifyResult(False, sets[index], dup, first, second)
+    with closing(scan(array, sets)) as verdicts:
+        # strict: after the last set, the end of the stream is read too.
+        for rowset, hit in zip(sets, verdicts, strict=True):
+            if hit is not None:
+                return VerifyResult(False, rowset, *hit)
     return VerifyResult(True)
 
 
-def failing_sets(array: BandedArray, sets, first_only: bool) -> list:
-    """[(index, (tuple, col_a, col_b))] of the failing sets, by ascending index.
-
-    Each hit is what ``duplicate_finder`` gives for sets[index].  With
-    `first_only` the list holds at most the lowest failing set, since this
-    process and each worker stop at their first.
+def scan(array: BandedArray, sets):
+    """Generator of each set's verdict, in order: what ``duplicate_finder`` gives.
 
     The sets are scanned in contiguous blocks, one per process (see
-    _worker_count): this process scans block 0 and a worker (``workers``)
-    each further block.  The blocks' hits are read in block order, so the
-    answer is the one a single process gives.  With `first_only`, every
-    worker is killed once a lower block has failed.  Each worker is reaped
-    before this returns or raises.  A worker that exits non-zero raises
-    OSError, a malformed reply ValueError.
+    _worker_count): a worker (``workers``) is started for each block but the
+    first before this process scans block 0, and the workers' verdicts are
+    read in block order as they arrive.  Closing the generator, or reading it
+    to the end, kills and reaps every worker; only the end shows a worker's
+    exit, so a caller that needs every verdict reads past the last.  A worker
+    that exits non-zero raises OSError, a malformed reply ValueError.
     """
     w = _worker_count(len(sets), array.q)
     bounds = [len(sets) * k // w for k in range(w + 1)]
     blocks = [sets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    procs = []
+    started = []  # (process, stderr file) of each worker
     try:
         if w > 1:
             # Imported only for a split scan: its modules (json, subprocess)
@@ -336,30 +337,21 @@ def failing_sets(array: BandedArray, sets, first_only: bool) -> list:
             from . import workers
 
             for block in blocks[1:]:
-                procs.append(workers.start(array, block, first_only))
-        # Packed once per call, not cached on the array: at q = 16 the packed
+                started.append(workers.start(array, block))
+        # Packed once per scan, not cached on the array: at q = 16 the packed
         # rows take 2.6 MB, which a caller such as `construct` would otherwise
         # keep alive while it writes the array out.
         first_duplicate = duplicate_finder(array)
-        hits = []
-        for index, rowset in enumerate(blocks[0]):
-            hit = first_duplicate(rowset)
-            if hit is not None:
-                hits.append((index, hit))
-                if first_only:
-                    break
-        for lo, proc, block in zip(bounds[1:], procs, blocks[1:]):
-            if first_only and hits:
-                break
-            hits += [(lo + index, hit) for index, hit in workers.hits(proc, block, first_duplicate)]
+        yield from map(first_duplicate, blocks[0])
+        for worker, block in zip(started, blocks[1:]):
+            yield from workers.hits(worker, block, first_duplicate)
     finally:
-        for proc in procs:
+        for proc, _ in started:
             proc.kill()  # does nothing to a worker already reaped
-        for proc in procs:
+        for proc, err in started:
             proc.wait()
             proc.stdout.close()
-            proc.stderr.close()
-    return hits
+            err.close()
 
 
 def _cpus() -> int:

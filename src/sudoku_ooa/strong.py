@@ -24,11 +24,12 @@ must agree verdict-for-verdict on families generated from flag data.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .linalg import Subspace, det, intersect, mat_sub, subspace_from, trivial_intersection
-from .ooa import BandedArray, classify, failing_sets, repeat_text, top_justified_sets
+from .ooa import BandedArray, classify, repeat_text, scan, top_justified_sets
 from .sudoku import FlagData, datum_violation, subspace_gamma
 
 
@@ -269,47 +270,49 @@ def check_combinatorial(array: BandedArray) -> ConditionReport:
     """Evaluate the condition system on a family's array by exhaustive enumeration.
 
     The array is read as ``assemble`` lays it out: bands 3..s are the members,
-    and column m holds grid cell (m // q^2, m % q^2).  Every top-justified set
-    is scanned at most once, by ``verify``'s driver ``failing_sets``, and each
-    condition reads the verdicts of its ``ROW_SETS``; these are all the
-    top-justified sets but the location rows', so a set outside the scan is a
-    KeyError, never a pass.  A failing set's witness names its first repeated
-    tuple and the grid cells of the two columns that carry it.  The members
-    must be mutually orthogonal sudoku solutions; that precondition is
-    verified first and its pair verdicts appear under the label ``orth``.
-    Its row sets are the ``sudoku-TJ`` sets but the location rows', and they
-    are scanned first: the rest are scanned only when ``_report`` first reads
-    one of them, so a family that is not mutually orthogonal is refused
-    without them.
+    and column m holds grid cell (m // q^2, m % q^2).  One ``scan``, the
+    driver ``verify`` uses, yields the verdicts of all the top-justified sets
+    but the location rows', and each condition reads the verdicts of its
+    ``ROW_SETS``, so a set outside the scan raises, never passes.  A
+    failing set's witness names its first repeated tuple and the grid cells
+    of the two columns that carry it.  The members must be mutually
+    orthogonal sudoku solutions; that precondition is verified first and its
+    pair verdicts appear under the label ``orth``.  Its row sets, the
+    ``sudoku-TJ`` sets but the location rows', come first in the scan, and
+    verdicts are read only as far as the set a condition needs, so a family
+    that is not mutually orthogonal is refused without the others.
     """
     n = array.s - 2
     side = array.q**2
     location = frozenset((X1, X2, X3, X4))
-    sudoku_sets, rest = [], []
-    for rs in top_justified_sets(array.s):
-        if classify(rs) != "sudoku-TJ":
-            rest.append(rs)
-        elif rs != location:
-            sudoku_sets.append(rs)
-    unscanned = [rest, sudoku_sets]  # popped: the precondition sets first
-    witnesses = {}
+    # The precondition sets first: sorted() keeps each part in scan order.
+    sets = sorted(
+        (rs for rs in top_justified_sets(array.s) if rs != location),
+        key=lambda rs: classify(rs) != "sudoku-TJ",
+    )
+    hits = {}
 
     def witness(rs):
-        while rs not in witnesses and unscanned:
-            sets = unscanned.pop()
-            witnesses.update(dict.fromkeys(sets))
-            for index, (dup, first, second) in failing_sets(array, sets, first_only=False):
-                where = f"cells {divmod(first, side)} and {divmod(second, side)}"
-                witnesses[sets[index]] = repeat_text(sets[index], dup, where)
-        return witnesses[rs]
+        while rs not in hits:  # verdicts are read as far as rs
+            rowset, hit = next(verdicts)
+            hits[rowset] = hit
+        if hits[rs] is not None:
+            dup, first, second = hits[rs]
+            return repeat_text(rs, dup, f"cells {divmod(first, side)} and {divmod(second, side)}")
+        return None
 
     def check(label):
         return lambda *idx: next(
             filter(None, (witness(frozenset(rs)) for rs in ROW_SETS[label](*idx))), None
         )
 
-    for t in range(1, n + 1):
-        why = check("sudoku")(t)
-        if why is not None:
-            raise NotMutuallyOrthogonal(f"member {t} is not a sudoku solution: {why}")
-    return _report(n, {label: check(label) for label in ROW_SETS})
+    with closing(scan(array, sets)) as stream:
+        # strict: after the last set, the end of the stream is read too.
+        verdicts = zip(sets, stream, strict=True)
+        for t in range(1, n + 1):
+            why = check("sudoku")(t)
+            if why is not None:
+                raise NotMutuallyOrthogonal(f"member {t} is not a sudoku solution: {why}")
+        report = _report(n, {label: check(label) for label in ROW_SETS})
+        hits.update(verdicts)  # the sets no condition read, and the stream's end
+    return report

@@ -1,14 +1,15 @@
-"""Worker processes for a split row-set scan (see ``ooa.failing_sets``).
+"""Worker processes for a split row-set scan (see ``ooa.scan``).
 
 A worker is a fresh interpreter, started with ``subprocess`` rather than a
 pool, so nothing outlives the call that started it.  Its stdin is an
-anonymous file holding a JSON header line, {"q", "s", "parent", "first_only",
-"sets"}, then the array's 2s rows as the array stores them, q^4 bytes each.
-It rebuilds the array from those bytes, scans its sets in order with
-``ooa.duplicate_finder``, and replies on its stdout pipe with one JSON line,
-{"failing": [indices in its block of the failing sets]}, ascending; with
-"first_only" it stops at the first.  It exits without a reply at its next
-set once the process named in "parent" is no longer its parent.
+anonymous file holding a JSON header line, {"q", "s", "parent", "sets"},
+then the array's 2s rows as the array stores them, q^4 bytes each.  It
+rebuilds the array from those bytes and scans its sets in order with
+``ooa.duplicate_finder``, writing one byte per set to its stdout pipe as it
+goes, ``0`` for a pass and ``1`` for a fail, then a newline.  It stops
+without the rest of its reply at its next set once the process named in
+"parent" is no longer its parent.  Its stderr is an anonymous file, so a
+worker never waits for the caller to read it.
 """
 
 from __future__ import annotations
@@ -30,69 +31,74 @@ ARGV = (
     "-I",
     "-c",
     f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent.parent)!r}); "
-    "from sudoku_ooa.workers import serve; serve(sys.stdin.buffer, sys.stdout)",
+    "from sudoku_ooa.workers import serve; serve(sys.stdin.buffer, sys.stdout.buffer)",
 )
 
 
-def start(array: BandedArray, block, first_only: bool) -> subprocess.Popen:
-    """A worker scanning `block` of `array`, stopping at its first hit if `first_only`.
+def start(array: BandedArray, block) -> tuple[subprocess.Popen, object]:
+    """(process, stderr file) of a worker scanning `block` of `array`.
 
     Its input is written to the anonymous file before it starts, so nothing
-    here waits on the worker.
+    here waits on the worker.  The caller kills and waits for the process and
+    closes its stdout and the stderr file.
     """
-    header = {"q": array.q, "s": array.s, "parent": os.getpid(), "first_only": first_only}
+    header = {"q": array.q, "s": array.s, "parent": os.getpid()}
     header["sets"] = [sorted(rs) for rs in block]
+    err = tempfile.TemporaryFile()
     with tempfile.TemporaryFile() as inp:
         inp.write(json.dumps(header).encode() + b"\n")
         for row in array.rows:
             inp.write(row)
         inp.seek(0)
-        return subprocess.Popen(ARGV, stdin=inp, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            proc = subprocess.Popen(ARGV, stdin=inp, stdout=subprocess.PIPE, stderr=err)
+        except BaseException:
+            err.close()
+            raise
+    return proc, err
 
 
-def hits(proc: subprocess.Popen, block, first_duplicate) -> list:
-    """[(index in block, hit)] of the worker's failing sets; reaps the worker.
+def hits(worker, block, first_duplicate):
+    """Yield the worker's verdict on each set of `block` as it arrives, then reap it.
 
-    Each hit is found again with this process's `first_duplicate`.  A reply
-    is malformed unless its "failing" is a list of ints, not bools, strictly
-    increasing and in range, each naming a set that fails.  A non-zero exit
-    raises OSError, a malformed reply ValueError.
+    A ``0`` is None, and a ``1`` the set's hit, found again with this
+    process's `first_duplicate`.  A reply is malformed unless it is one such
+    byte per set, a ``1`` only where the set fails, then a newline and
+    nothing more.  At the first bad byte, or after the last set, the reply is
+    read to its end and the worker reaped; a non-zero exit then raises
+    OSError, and a malformed reply ValueError.
     """
-    out, err = proc.communicate()
-    if proc.returncode != 0:
-        last = err.decode(errors="replace").strip().splitlines()[-1:]
-        raise OSError(
-            f"a row-set scan worker exited with code {proc.returncode}"
-            + "".join(f": {line}" for line in last)
-        )
-    malformed = ValueError(f"malformed reply from a row-set scan worker: {out[:80]!r}")
-    try:
-        failing = json.loads(out)["failing"]
-    except (ValueError, TypeError, KeyError):
-        raise malformed from None
-    if type(failing) is not list or any(type(index) is not int for index in failing):
-        raise malformed
-    if failing != sorted(set(failing) & set(range(len(block)))):  # not ascending, or out of range
-        raise malformed
-    found = [(index, first_duplicate(block[index])) for index in failing]
-    if any(hit is None for _, hit in found):
-        raise malformed
-    return found
+    proc, err = worker
+    reply = b""
+    for rowset in block:
+        reply += proc.stdout.read(1)
+        hit = first_duplicate(rowset) if reply[-1:] == b"1" else None
+        if hit is None and reply[-1:] != b"0":
+            end = None  # no end mends a bad verdict
+            break
+        yield hit
+    else:
+        end = b"\n"
+    rest = proc.stdout.read()
+    if proc.wait() != 0:
+        err.seek(0)
+        last = err.read().decode(errors="replace").strip().splitlines()[-1:]
+        why = "".join(f": {line}" for line in last)
+        raise OSError(f"a row-set scan worker exited with code {proc.returncode}{why}")
+    if rest != end:
+        raise ValueError(f"malformed reply from a row-set scan worker: {(reply + rest)[:80]!r}")
 
 
 def serve(inp, out) -> None:
-    """A worker's body: read its block from `inp`, reply on `out`."""
+    """A worker's body: read its block from `inp`, reply on `out`, a byte stream."""
     header = json.loads(inp.readline())
     q, s = header["q"], header["s"]
     first_duplicate = duplicate_finder(
         BandedArray(q, s, tuple(inp.read(q**STRENGTH) for _ in range(2 * s)))
     )
-    failing = []
-    for index, labels in enumerate(header["sets"]):
+    for labels in header["sets"]:
         if os.getppid() != header["parent"]:
             return
-        if first_duplicate(frozenset(map(tuple, labels))) is not None:
-            failing.append(index)
-            if header["first_only"]:
-                break
-    out.write(json.dumps({"failing": failing}) + "\n")
+        out.write(b"0" if first_duplicate(frozenset(map(tuple, labels))) is None else b"1")
+        out.flush()
+    out.write(b"\n")

@@ -6,6 +6,7 @@ import ast
 import itertools
 import random
 import re
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from sudoku_ooa import (
     top_justified_sets,
 )
 from sudoku_ooa.families import SUBSTRONG_ALPHA
-from sudoku_ooa.ooa import failing_sets
+from sudoku_ooa.ooa import scan
 from sudoku_ooa.strong import CONDITION_LABELS, ROW_SETS
 
 
@@ -288,9 +289,9 @@ def test_row_sets_are_the_top_justified_sets_of_the_array(s):
 
 @pytest.mark.parametrize("s", range(3, 17))
 def test_precondition_row_sets_are_the_sudoku_sets_but_the_locations(s):
-    # check_combinatorial scans these first and the rest only when the report
-    # reads one: the "sudoku" and "orth" sets are exactly the sets verify's
-    # sa mode scans, the sudoku-TJ ones, but the four location rows.
+    # check_combinatorial puts these first in its scan and reads the rest only
+    # once they pass: the "sudoku" and "orth" sets are exactly the sets
+    # verify's sa mode scans, the sudoku-TJ ones, but the four location rows.
     n = s - 2
     sets = {frozenset(rs) for t in range(1, n + 1) for rs in ROW_SETS["sudoku"](t)}
     for i, j in itertools.combinations(range(1, n + 1), 2):
@@ -304,21 +305,31 @@ def test_precondition_row_sets_are_the_sudoku_sets_but_the_locations(s):
 def test_check_combinatorial_refuses_a_non_orthogonal_family_before_the_other_sets(
     monkeypatch, copied
 ):
-    # Member 4 repeats member `copied`: the family is refused from its
-    # precondition sets alone, without a scan of any other set.
+    # Member 4 repeats member `copied`: check_combinatorial starts one scan,
+    # with the precondition sets first, and refuses the family without a
+    # verdict past them.
     data = list(construct_family(7, 5).data)
     array = assemble([generate(d.flag()) for d in data + data[copied - 1 : copied]])
-    scanned = []
+    calls, taken = [], []
 
-    def recording(array, sets, first_only):
-        scanned.extend(sets)
-        return failing_sets(array, sets, first_only)
+    def recording(array, sets):
+        calls.append(list(sets))
+        with closing(scan(array, sets)) as verdicts:
+            for hit in verdicts:
+                taken.append(hit)
+                yield hit
 
-    monkeypatch.setattr(sudoku_ooa.strong, "failing_sets", recording)
+    monkeypatch.setattr(sudoku_ooa.strong, "scan", recording)
     with pytest.raises(NotMutuallyOrthogonal, match=f"^members {copied} and 4: rows "):
         check_combinatorial(array)
-    assert scanned
-    assert {classify(rs) for rs in scanned} == {"sudoku-TJ"}
+    [sets] = calls
+    locations = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
+    every = set(top_justified_sets(array.s)) - {locations}
+    precondition = {rs for rs in every if classify(rs) == "sudoku-TJ"}
+    assert len(sets) == len(every) and set(sets) == every
+    assert set(sets[: len(precondition)]) == precondition
+    assert 0 < len(taken) <= len(precondition)
+    assert any(hit is not None for hit in taken)  # the refusing set's verdict
 
 
 def test_checkers_refuse_a_family_without_members():

@@ -1,13 +1,16 @@
 """The split row-set scan against the scan in one process.
 
-``verify`` and ``check_combinatorial`` share one driver, ``ooa.failing_sets``.
-The threshold ``PARALLEL_WORK`` is set to 0 to force the split and to
-infinity to forbid it, and the CPU count to 3, so small arrays scan in three
-blocks: block 0 in this process, blocks 1 and 2 in workers.  Corrupted copies
-put the first failing set in a chosen block; workers of lower blocks are slowed
-down so that a later block's hit arrives first, and the earliest set must
-still win.  Failing families put the condition report's failing sets in two
-or three blocks, and the split report must be the one-process report.  After
+``verify`` and ``check_combinatorial`` read one driver, ``ooa.scan``, which
+yields each row set's verdict in order.  The threshold ``PARALLEL_WORK`` is
+set to 0 to force the split and to infinity to forbid it, and the CPU count
+to 3, so small arrays scan in three blocks: block 0 in this process, blocks 1
+and 2 in workers.  Corrupted copies put the first failing set in a chosen
+block; workers of lower blocks are slowed down so that a later block's hit
+arrives first, and the earliest set must still win.  Failing families put the
+condition report's failing sets in two or three blocks, and the split report
+must be the one-process report.  A worker replies one byte per set, ``0`` or
+``1``, then a newline; stand-in workers give malformed replies, exits and
+stderr floods, each of which must be an error naming what went wrong.  After
 every call, this process has no child left (checked where /proc lists
 children).
 """
@@ -31,6 +34,7 @@ import fixtures as fx
 from sudoku_ooa import (
     BandedArray,
     NotMutuallyOrthogonal,
+    array_to_text,
     assemble,
     check_combinatorial,
     construct_family,
@@ -126,7 +130,7 @@ def delaying_worker(delays: dict[int, float], array: BandedArray, mode: str) -> 
         "from sudoku_ooa.workers import serve; data = sys.stdin.buffer.read(); "
         "first = json.dumps(json.loads(data.split(b'\\n', 1)[0])['sets'][0]); "
         f"time.sleep({by_first!r}.get(first, 0)); "
-        "serve(io.BytesIO(data), sys.stdout)"
+        "serve(io.BytesIO(data), sys.stdout.buffer)"
     )
     return (sys.executable, "-I", "-c", code)
 
@@ -139,7 +143,7 @@ def garbling_worker(served, array: BandedArray, mode: str) -> tuple:
         f"import io, json, sys; sys.path.insert(0, {str(SRC)!r}); "
         "from sudoku_ooa.workers import serve; data = sys.stdin.buffer.read(); "
         "first = json.dumps(json.loads(data.split(b'\\n', 1)[0])['sets'][0]); "
-        f"serve(io.BytesIO(data), sys.stdout) if first in {firsts!r} else print('PASS')"
+        f"serve(io.BytesIO(data), sys.stdout.buffer) if first in {firsts!r} else print('PASS')"
     )
     return (sys.executable, "-I", "-c", code)
 
@@ -213,7 +217,8 @@ def test_own_block_wins_when_the_workers_reply_first(monkeypatch):
 
 @pytest.mark.parametrize("labels", [[(3, 1)], [(2, 2)]], ids=["block-0", "block-1"])
 def test_first_only_reads_no_reply_past_the_first_failing_block(monkeypatch, labels):
-    # Workers of later blocks are killed unread: a malformed reply there is no error.
+    # verify stops reading at the first failing set, and closing the scan kills
+    # the workers of later blocks unread: a malformed reply there is no error.
     array = corrupted(family_array(7), labels)
     serial = run_verify(monkeypatch, array, parallel=False)
     first = failing_blocks(array, "ooa")[0]
@@ -240,51 +245,113 @@ def test_workers_are_reaped_when_the_own_scan_raises(monkeypatch, error):
         run_verify(monkeypatch, family_array(3))
 
 
-def malformed(reply: str) -> str:
-    return f"error: malformed reply from a row-set scan worker: {(reply + chr(10)).encode()!r}\n"
+def malformed(reply: bytes) -> str:
+    return f"error: malformed reply from a row-set scan worker: {reply!r}\n"
 
 
-@pytest.mark.parametrize(
-    "code,message",
-    [
-        ("import sys; sys.exit(3)", "error: a row-set scan worker exited with code 3\n"),
-        ("print('PASS')", malformed("PASS")),
-        ("print('{\"first\": null}')", malformed('{"first": null}')),  # the old reply
-        ("print('{\"failing\": [0]}')", malformed('{"failing": [0]}')),  # set 0 passes
-        ("print('{\"failing\": [-1]}')", malformed('{"failing": [-1]}')),
-        ("print('{\"failing\": [10]}')", malformed('{"failing": [10]}')),  # the block has 10
-        ("print('{\"failing\": [true]}')", malformed('{"failing": [true]}')),
-        ("print('{\"failing\": [2, 1]}')", malformed('{"failing": [2, 1]}')),
-        ("print('{\"failing\": [1, 1]}')", malformed('{"failing": [1, 1]}')),
-        ("print('{\"failing\": 0}')", malformed('{"failing": 0}')),
-        ("print('[0]')", malformed("[0]")),
-    ],
-    ids=[
-        "exit-3",
-        "not-json",
-        "old-reply",
-        "set-passes",
-        "bad-index",
-        "past-the-block",
-        "bool-index",
-        "decreasing",
-        "repeated",
-        "not-a-list",
-        "not-an-object",
-    ],
+# Stand-in workers.  FULL replies 0 to every set of its block, as a worker
+# does on a passing array.
+FULL = (
+    "import json, sys; n = len(json.loads(sys.stdin.buffer.readline())['sets']); "
+    "sys.stdout.write('0' * n + '\\n'); "
 )
-def test_failed_worker_is_an_error_not_a_verdict(tmp_path, monkeypatch, capsys, code, message):
+EXITED = "error: a row-set scan worker exited with code 3\n"
+
+
+def run_with_worker(tmp_path, monkeypatch, capsys, code: str, level: str | None) -> tuple:
+    """(exit code, stdout, stderr) of `verify` (level None) or `check-family
+    --level level` on a passing q = 3, s = 4 input, split in two blocks, with
+    the worker argv running `code`."""
     path = tmp_path / "a.txt"
-    assert main(["construct", "--q", "3", "--s", "4", "--out", str(path)]) == 0
+    emit = ["--emit", "flags"] if level else []
+    assert main(["construct", "--q", "3", "--s", "4", "--out", str(path), *emit]) == 0
     capsys.readouterr()
     before = children()
     monkeypatch.setattr(ooa, "PARALLEL_WORK", 0)
     monkeypatch.setattr(ooa, "_cpus", lambda: 2)
     monkeypatch.setattr(workers, "ARGV", (sys.executable, "-c", code))
-    assert main(["verify", str(path)]) == 2
+    argv = ["check-family", str(path), "--level", level] if level else ["verify", str(path)]
+    status = main(argv)
     out, err = capsys.readouterr()
-    assert (out, err) == ("", message)
     assert_no_new_child(before)
+    return status, out, err
+
+
+@pytest.mark.parametrize(
+    "code,message",
+    [
+        ("import sys; sys.exit(3)", EXITED),
+        ("print('PASS')", malformed(b"PASS\n")),
+        ("print('1')", malformed(b"1\n")),  # set 0 passes
+        ("print('0')", malformed(b"0\n")),  # the block has 10 sets
+        (FULL + "sys.stdout.write('x')", malformed(b"0" * 10 + b"\nx")),
+        (FULL + "sys.exit(3)", EXITED),
+    ],
+    ids=[
+        "exit-3", "not-json", "set-passes", "short", "past-the-newline", "exit-3-after-a-full-reply"
+    ],
+)
+def test_failed_worker_is_an_error_not_a_verdict(tmp_path, monkeypatch, capsys, code, message):
+    assert len(top_justified_sets(4)) == 19  # block 1 of 2 is sets 9..18
+    assert run_with_worker(tmp_path, monkeypatch, capsys, code, None) == (2, "", message)
+
+
+def test_check_combinatorial_reads_the_exit_after_a_full_reply(tmp_path, monkeypatch, capsys):
+    # Every verdict of the family's scan is good; only the worker's exit,
+    # read past the last of them, makes the run an error.
+    got = run_with_worker(tmp_path, monkeypatch, capsys, FULL + "sys.exit(3)", "combinatorial")
+    assert got == (2, "", EXITED)
+
+
+def test_a_worker_flooding_its_stderr_gives_its_exit_code(tmp_path):
+    # A megabyte of stderr, more than a pipe holds, must not stall the caller,
+    # which reads the worker's stdout as it arrives.
+    path = tmp_path / "a.txt"
+    path.write_text(array_to_text(family_array(3)))
+    flood = "import sys; sys.stderr.write('x' * 2**20 + '\\nlast\\n'); sys.exit(3)"
+    worker = (sys.executable, "-c", flood)
+    child = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+        "from sudoku_ooa import ooa, workers; from sudoku_ooa.cli import main; "
+        f"ooa.PARALLEL_WORK = 0; ooa._cpus = lambda: 2; workers.ARGV = {worker!r}; "
+        f"sys.exit(main(['verify', {str(path)!r}]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", child], capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: a row-set scan worker exited with code 3: last\n"
+    )
+
+
+def test_verdicts_are_read_as_they_arrive(monkeypatch):
+    # Each worker stalls for a minute in the set after its first failing one:
+    # verify must take block 1's first 1 as it arrives and kill the workers.
+    array = corrupted(family_array(7), [(2, 2)])
+    assert failing_blocks(array, "ooa")[0] == 1
+    serial = run_verify(monkeypatch, array, parallel=False)
+    code = f"""
+import sys, time
+sys.path.insert(0, {str(SRC)!r})
+from sudoku_ooa import workers
+finder = workers.duplicate_finder
+
+def stalling(array):
+    scan, found = finder(array), []
+    def first_duplicate(rowset):
+        if any(found):
+            time.sleep(60)
+        found.append(scan(rowset))
+        return found[-1]
+    return first_duplicate
+
+workers.duplicate_finder = stalling
+workers.serve(sys.stdin.buffer, sys.stdout.buffer)
+"""
+    monkeypatch.setattr(workers, "ARGV", (sys.executable, "-I", "-c", code))
+    began = time.monotonic()
+    assert run_verify(monkeypatch, array) == serial
+    assert time.monotonic() - began < 30
 
 
 def test_reply_rules_hold_where_the_named_sets_fail(monkeypatch):
@@ -294,33 +361,38 @@ def test_reply_rules_hold_where_the_named_sets_fail(monkeypatch):
     finder = ooa.duplicate_finder(array)
     assert all(finder(rs) is not None for rs in block)
 
-    def reply(failing):
-        code = f"print({json.dumps({'failing': failing})!r})"
+    def reply(data: bytes) -> list:
+        code = f"import sys; sys.stdout.buffer.write({data!r})"
         monkeypatch.setattr(workers, "ARGV", (sys.executable, "-c", code))
-        return workers.hits(workers.start(array, block, False), block, finder)
+        proc, err = worker = workers.start(array, block)
+        try:
+            return list(workers.hits(worker, block, finder))
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            err.close()
 
-    assert reply([0, 2]) == [(0, finder(block[0])), (2, finder(block[2]))]
-    assert reply([]) == []
-    for failing in ([True], [2, 1], [1, 1], [0, 0, 2], 1, None, [1.0], [-3], [3], [0, 1, 2, 3]):
+    assert reply(b"101\n") == [finder(block[0]), None, finder(block[2])]
+    assert reply(b"000\n") == [None] * 3
+    bad = (b"", b"\n", b"10", b"101", b"10\n", b"1011\n", b"101\n\n", b"101\nx", b"1x1\n", b" 101\n")
+    for data in bad:
         with pytest.raises(ValueError, match="malformed reply"):
-            reply(failing)
+            reply(data)
 
 
 def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
     array = corrupted(family_array(3), [(1, 1)])
     sets = mode_sets(array.s, "ooa")
 
-    def scan(parent, first_only):
-        header = {
-            "q": 3, "s": array.s, "parent": parent, "first_only": first_only,
-            "sets": [sorted(rs) for rs in sets],
-        }
+    def scan(parent):
+        header = {"q": 3, "s": array.s, "parent": parent, "sets": [sorted(rs) for rs in sets]}
         inp = tmp_path / "in"
         inp.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(array.rows))
         out = tmp_path / "out"
-        with inp.open("rb") as i, out.open("w") as o:
+        with inp.open("rb") as i, out.open("wb") as o:
             workers.serve(i, o)
-        return out.read_text()
+        return out.read_bytes()
 
     rebuilt = []
 
@@ -331,10 +403,15 @@ def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
     monkeypatch.setattr(workers, "duplicate_finder", recording_finder)
     failing = failing_indices(array, sets)
     assert failing[0] == 0 and len(failing) > 1
-    for first_only, expected in ((True, [0]), (False, failing)):
-        assert scan(os.getppid(), first_only) == json.dumps({"failing": expected}) + "\n"
-        assert scan(-1, first_only) == ""
-    assert rebuilt == [array] * 4
+    verdicts = b"".join(b"1" if index in failing else b"0" for index in range(len(sets)))
+    assert scan(os.getppid()) == verdicts + b"\n"
+    assert scan(-1) == b""
+    # Orphaned after its second set: the reply stops there, without its newline.
+    parent = os.getppid()
+    parents = iter([parent] * 2)
+    monkeypatch.setattr(os, "getppid", lambda: next(parents, -1))
+    assert scan(parent) == verdicts[:2]
+    assert rebuilt == [array] * 3
     assert all(type(row) is bytes for arr in rebuilt for row in arr.rows)
 
 
@@ -406,8 +483,7 @@ def not_a_sudoku():
 def test_check_combinatorial_leaves_no_worker_when_the_family_is_refused(
     monkeypatch, grids, match
 ):
-    # The split scan of the precondition sets runs to the end, and the
-    # refusal is raised after it.
+    # The refusal closes the scan, which kills the workers still running.
     array = assemble(grids)
     with pytest.raises(NotMutuallyOrthogonal, match=match):
         run_check(monkeypatch, array)
