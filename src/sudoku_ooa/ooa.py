@@ -12,8 +12,8 @@ or 2 rows (mode ``sa``).
 Verification works on packed rows: each row is one integer with a fixed-width
 slot per column, so a row set's q^4 tuple keys come out of a few big-integer
 operations instead of a loop over columns.  One driver, ``scan``, runs every
-scan: it yields each set's verdict in order, and its callers stop reading
-once they know enough, ``verify`` at the first failing set and
+scan: it yields each set with its verdict, in order, and its callers stop
+reading once they know enough, ``verify`` at the first failing set and
 ``strong.check_combinatorial`` when a precondition fails.  A scan of at least
 ``PARALLEL_WORK`` key tuples (row sets x q^4) on more than one CPU is split
 into up to ``MAX_WORKERS`` contiguous blocks of row sets: the calling process
@@ -308,23 +308,22 @@ def verify(array: BandedArray, mode: str = "ooa") -> VerifyResult:
         rs for rs in top_justified_sets(array.s) if mode == "ooa" or classify(rs) == "sudoku-TJ"
     ]
     with closing(scan(array, sets)) as verdicts:
-        # strict: after the last set, the end of the stream is read too.
-        for rowset, hit in zip(sets, verdicts, strict=True):
+        for rowset, hit in verdicts:
             if hit is not None:
                 return VerifyResult(False, rowset, *hit)
     return VerifyResult(True)
 
 
 def scan(array: BandedArray, sets):
-    """Generator of each set's verdict, in order: what ``duplicate_finder`` gives.
+    """Generator of (rowset, hit) for each set, in order, hit as ``duplicate_finder`` gives it.
 
     The sets are scanned in contiguous blocks, one per process (see
     _worker_count): a worker (``workers``) is started for each block but the
     first before this process scans block 0, and the workers' verdicts are
-    read in block order as they arrive.  Closing the generator, or reading it
-    to the end, kills and reaps every worker; only the end shows a worker's
-    exit, so a caller that needs every verdict reads past the last.  A worker
-    that exits non-zero raises OSError, a malformed reply ValueError.
+    read in block order as they arrive.  Every pair holds a verdict that some
+    process computed.  Closing the generator, or reading it to the end, kills
+    and reaps every worker.  A worker that exits non-zero raises OSError, a
+    malformed reply ValueError, each after the last pair it gave.
     """
     w = _worker_count(len(sets), array.q)
     bounds = [len(sets) * k // w for k in range(w + 1)]
@@ -342,7 +341,7 @@ def scan(array: BandedArray, sets):
         # rows take 2.6 MB, which a caller such as `construct` would otherwise
         # keep alive while it writes the array out.
         first_duplicate = duplicate_finder(array)
-        yield from map(first_duplicate, blocks[0])
+        yield from ((rowset, first_duplicate(rowset)) for rowset in blocks[0])
         for worker, block in zip(started, blocks[1:]):
             yield from workers.hits(worker, block, first_duplicate)
     finally:

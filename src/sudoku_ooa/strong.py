@@ -271,8 +271,8 @@ def check_combinatorial(array: BandedArray) -> ConditionReport:
 
     The array is read as ``assemble`` lays it out: bands 3..s are the members,
     and column m holds grid cell (m // q^2, m % q^2).  One ``scan``, the
-    driver ``verify`` uses, yields the verdicts of all the top-justified sets
-    but the location rows', and each condition reads the verdicts of its
+    driver ``verify`` uses, yields each top-justified set but the location
+    rows' with its verdict, and each condition reads the verdicts of its
     ``ROW_SETS``, so a set outside the scan raises, never passes.  A
     failing set's witness names its first repeated tuple and the grid cells
     of the two columns that carry it.  The members must be mutually
@@ -306,9 +306,7 @@ def check_combinatorial(array: BandedArray) -> ConditionReport:
             filter(None, (witness(frozenset(rs)) for rs in ROW_SETS[label](*idx))), None
         )
 
-    with closing(scan(array, sets)) as stream:
-        # strict: after the last set, the end of the stream is read too.
-        verdicts = zip(sets, stream, strict=True)
+    with closing(scan(array, sets)) as verdicts:
         for t in range(1, n + 1):
             why = check("sudoku")(t)
             if why is not None:

@@ -59,24 +59,26 @@ def start(array: BandedArray, block) -> tuple[subprocess.Popen, object]:
 
 
 def hits(worker, block, first_duplicate):
-    """Yield the worker's verdict on each set of `block` as it arrives, then reap it.
+    """Yield (rowset, hit) for each set of `block` as its byte arrives, then reap the worker.
 
-    A ``0`` is None, and a ``1`` the set's hit, found again with this
+    A ``0`` gives None, and a ``1`` the set's hit, found again with this
     process's `first_duplicate`.  A reply is malformed unless it is one such
     byte per set, a ``1`` only where the set fails, then a newline and
-    nothing more.  At the first bad byte, or after the last set, the reply is
-    read to its end and the worker reaped; a non-zero exit then raises
-    OSError, and a malformed reply ValueError.
+    nothing more.  At the first bad byte, the end of the reply included, no
+    pair is yielded; then, or after the last set, the reply is read to its
+    end and the worker reaped.  A non-zero exit then raises OSError, and a
+    malformed reply ValueError.
     """
     proc, err = worker
     reply = b""
     for rowset in block:
-        reply += proc.stdout.read(1)
-        hit = first_duplicate(rowset) if reply[-1:] == b"1" else None
-        if hit is None and reply[-1:] != b"0":
+        verdict = proc.stdout.read(1)
+        reply += verdict
+        hit = first_duplicate(rowset) if verdict == b"1" else None
+        if hit is None and verdict != b"0":
             end = None  # no end mends a bad verdict
             break
-        yield hit
+        yield rowset, hit
     else:
         end = b"\n"
     rest = proc.stdout.read()

@@ -307,7 +307,7 @@ def test_check_combinatorial_refuses_a_non_orthogonal_family_before_the_other_se
 ):
     # Member 4 repeats member `copied`: check_combinatorial starts one scan,
     # with the precondition sets first, and refuses the family without a
-    # verdict past them.
+    # verdict past them.  The scan yields (rowset, hit) pairs in set order.
     data = list(construct_family(7, 5).data)
     array = assemble([generate(d.flag()) for d in data + data[copied - 1 : copied]])
     calls, taken = [], []
@@ -315,9 +315,9 @@ def test_check_combinatorial_refuses_a_non_orthogonal_family_before_the_other_se
     def recording(array, sets):
         calls.append(list(sets))
         with closing(scan(array, sets)) as verdicts:
-            for hit in verdicts:
-                taken.append(hit)
-                yield hit
+            for rowset, hit in verdicts:
+                taken.append((rowset, hit))
+                yield rowset, hit
 
     monkeypatch.setattr(sudoku_ooa.strong, "scan", recording)
     with pytest.raises(NotMutuallyOrthogonal, match=f"^members {copied} and 4: rows "):
@@ -329,7 +329,8 @@ def test_check_combinatorial_refuses_a_non_orthogonal_family_before_the_other_se
     assert len(sets) == len(every) and set(sets) == every
     assert set(sets[: len(precondition)]) == precondition
     assert 0 < len(taken) <= len(precondition)
-    assert any(hit is not None for hit in taken)  # the refusing set's verdict
+    assert [rowset for rowset, _ in taken] == sets[: len(taken)]
+    assert any(hit is not None for _, hit in taken)  # the refusing set's verdict
 
 
 def test_checkers_refuse_a_family_without_members():

@@ -1,7 +1,8 @@
 """The split row-set scan against the scan in one process.
 
 ``verify`` and ``check_combinatorial`` read one driver, ``ooa.scan``, which
-yields each row set's verdict in order.  The threshold ``PARALLEL_WORK`` is
+yields each row set with its verdict, (rowset, hit), in order, and the split
+pairs must be the one-process pairs.  The threshold ``PARALLEL_WORK`` is
 set to 0 to force the split and to infinity to forbid it, and the CPU count
 to 3, so small arrays scan in three blocks: block 0 in this process, blocks 1
 and 2 in workers.  Corrupted copies put the first failing set in a chosen
@@ -10,7 +11,8 @@ arrives first, and the earliest set must still win.  Failing families put the
 condition report's failing sets in two or three blocks, and the split report
 must be the one-process report.  A worker replies one byte per set, ``0`` or
 ``1``, then a newline; stand-in workers give malformed replies, exits and
-stderr floods, each of which must be an error naming what went wrong.  After
+stderr floods, each of which must be an error naming what went wrong, after
+one pair per verdict byte the worker sent.  After
 every call, this process has no child left (checked where /proc lists
 children).
 """
@@ -26,6 +28,7 @@ import random
 import subprocess
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,7 @@ from sudoku_ooa import (
     generate,
     make_field,
     ooa,
+    strong,
     substrong_family,
     top_justified_sets,
     workers,
@@ -373,12 +377,102 @@ def test_reply_rules_hold_where_the_named_sets_fail(monkeypatch):
             proc.stdout.close()
             err.close()
 
-    assert reply(b"101\n") == [finder(block[0]), None, finder(block[2])]
-    assert reply(b"000\n") == [None] * 3
+    assert reply(b"101\n") == [
+        (block[0], finder(block[0])), (block[1], None), (block[2], finder(block[2]))
+    ]
+    assert reply(b"000\n") == [(rs, None) for rs in block]
     bad = (b"", b"\n", b"10", b"101", b"10\n", b"1011\n", b"101\n\n", b"101\nx", b"1x1\n", b" 101\n")
     for data in bad:
         with pytest.raises(ValueError, match="malformed reply"):
             reply(data)
+
+
+def pairs_then_error(pairs) -> tuple[list, str]:
+    """The pairs read from `pairs` before it raises, and the error's repr."""
+    got = []
+    with pytest.raises((OSError, ValueError)) as raised:
+        for pair in pairs:
+            got.append(pair)
+    return got, repr(raised.value)
+
+
+@pytest.mark.parametrize(
+    "code,error",
+    [
+        (
+            "import sys; sys.stdout.write('0'); sys.exit(3)",
+            OSError("a row-set scan worker exited with code 3"),
+        ),
+        (
+            "import sys; sys.stdout.write('0')",
+            ValueError("malformed reply from a row-set scan worker: b'0'"),
+        ),
+    ],
+    ids=["exit-3", "exit-0"],
+)
+def test_a_reply_that_ends_early_gives_one_pair_per_byte_sent(monkeypatch, code, error):
+    # The worker sends one 0 and ends its reply: the end is no verdict, so
+    # its one byte gives one pair, and then its exit or the short reply is
+    # the error.
+    array = family_array(3)
+    sets = top_justified_sets(array.s)
+    finder = ooa.duplicate_finder(array)
+    monkeypatch.setattr(workers, "ARGV", (sys.executable, "-c", code))
+    block = sets[:5]
+    proc, err = worker = workers.start(array, block)
+    try:
+        assert pairs_then_error(workers.hits(worker, block, finder)) == (
+            [(block[0], None)], repr(error)
+        )
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        err.close()
+
+    def three_blocks():  # block 0 in this process, then block 1's one pair
+        with closing(ooa.scan(array, sets)) as pairs:
+            return pairs_then_error(pairs)
+
+    own = [(rs, finder(rs)) for rs in sets[: len(sets) // BLOCKS]]
+    assert run_split(monkeypatch, three_blocks) == (own + [(sets[len(own)], None)], repr(error))
+
+
+def assert_split_pairs_are_one_process_pairs(monkeypatch, array, sets) -> None:
+    """The whole (rowset, hit) stream, split in three blocks, is the stream of
+    one process, which is `duplicate_finder` set by set."""
+
+    def read():
+        with closing(ooa.scan(array, sets)) as pairs:
+            return list(pairs)
+
+    finder = ooa.duplicate_finder(array)
+    serial = run_split(monkeypatch, read, parallel=False)
+    assert serial == [(rs, finder(rs)) for rs in sets]
+    assert run_split(monkeypatch, read) == serial
+
+
+@pytest.mark.parametrize("labels", [[], [(3, 2), (1, 2)]], ids=["passing", "corrupted"])
+@pytest.mark.parametrize("mode", ["ooa", "sa"])
+def test_split_pairs_are_the_one_process_pairs_on_verify_sets(monkeypatch, mode, labels):
+    array = corrupted(family_array(7), labels)
+    assert failing_blocks(array, mode) == ([0, 1, 2] if labels else [])
+    assert_split_pairs_are_one_process_pairs(monkeypatch, array, mode_sets(array.s, mode))
+
+
+def test_split_pairs_are_the_one_process_pairs_on_check_combinatorial_sets(monkeypatch):
+    array = assemble([generate(d.flag()) for d in substrong_family(7).data[:6]])
+    calls = []
+
+    def recording(array, sets):
+        calls.append(sets)
+        return ooa.scan(array, sets)
+
+    monkeypatch.setattr(strong, "scan", recording)
+    assert not check_combinatorial(array).passed
+    [sets] = calls
+    assert {block_of(i, len(sets)) for i in failing_indices(array, sets)} == {0, 1}
+    assert_split_pairs_are_one_process_pairs(monkeypatch, array, sets)
 
 
 def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
