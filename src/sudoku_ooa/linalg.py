@@ -10,7 +10,6 @@ nullspace functionals): no subspace is enumerated element by element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .gf import Field
 
@@ -129,14 +128,15 @@ def trivial_intersection(a: Subspace, b: Subspace) -> bool:
     return rank(a.field, a.basis + b.basis) == a.dim + b.dim
 
 
-def functional_values(field: Field, phi) -> list[int]:
-    """phi(x) = sum(phi_i * x_i) at every point x of F^4, in packed order."""
+def functional_values(field: Field, phi) -> bytes:
+    """Value table of phi(x) = sum(phi_i * x_i): one byte per point x of F^4,
+    in packed order."""
     q = field.q
     add, mul = field.add, field.mul
-    values = [0]
+    values = bytes(1)
     for c in phi:
         # Appending coordinate x_i: each partial value v becomes the q values
-        # v + c*x_i, so the list stays in packed (lexicographic) order.
-        extend = [[add(v, mul(c, x)) for x in range(q)] for v in range(q)]
-        values = list(chain.from_iterable(map(extend.__getitem__, values)))
+        # v + c*x_i, so the table stays in packed (lexicographic) order.
+        extend = [bytes(add(v, mul(c, x)) for x in range(q)) for v in range(q)]
+        values = b"".join(map(extend.__getitem__, values))
     return values

@@ -29,7 +29,7 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .sudoku import DimensionMismatch, first_repeat
 
@@ -128,31 +128,19 @@ class BandedArray:
 
 
 def assemble(grids) -> BandedArray:
-    """Array of the grids: location digits, then radix/units digits per grid.
+    """Array of the grids: location digits, then each grid's radix and units table.
 
     Columns are indexed by location in lexicographic order.  The grids are
     read one at a time, so an iterator of them need never be held at once.
     """
     q = None
-    symbol_rows = []
+    digit_rows = []
     for g in grids:
         if q is None:
             q = g.q
-            # Translation tables: byte sym maps to sym // q and to sym % q.
-            radix = bytes(sym // q for sym in range(256))
-            units = bytes(sym % q for sym in range(256))
         if g.q != q:
             raise DimensionMismatch("grids must share one order q")
-        try:
-            symbols = bytes(chain.from_iterable(g.rows))
-        except (TypeError, ValueError):
-            # A symbol that is not an int in 0..255, as in every grid with
-            # q > 16: its digits are computed, and bytes() or BandedArray
-            # refuses a bad one as they always have.
-            cells = list(chain.from_iterable(g.rows))
-            symbol_rows += [bytes(sym // q for sym in cells), bytes(sym % q for sym in cells)]
-        else:
-            symbol_rows += [symbols.translate(radix), symbols.translate(units)]
+        digit_rows += [g.radix, g.units]
     if q is None:
         raise GridCountZero("at least one grid is required")
     # Column m is the packed location ((x1*q + x2)*q + x3)*q + x4, which is
@@ -161,7 +149,7 @@ def assemble(grids) -> BandedArray:
     location_rows = [
         b"".join(bytes([x]) * q**e for x in range(q)) * q ** (3 - e) for e in (3, 2, 1, 0)
     ]
-    return BandedArray(q, len(symbol_rows) // 2 + 2, tuple(location_rows + symbol_rows))
+    return BandedArray(q, len(digit_rows) // 2 + 2, tuple(location_rows + digit_rows))
 
 
 def top_justified_sets(s: int) -> list[RowSet]:

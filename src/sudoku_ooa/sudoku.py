@@ -2,8 +2,9 @@
 
 A location in a grid is a 4-tuple (x1, x2, x3, x4) of field indices: (x1, x2)
 is the base-q row number and (x3, x4) the base-q column number, so x1 picks
-the large row (row of subsquares) and x3 the large column.  Symbols are plain
-integers 0..q^2-1; symbol s has radix digit s // q and units digit s % q.
+the large row (row of subsquares) and x3 the large column.  A grid is held as
+its symbols' two base-q digits, a radix and a units table of one byte per
+location; symbol s = q*radix + units is formed only where a reader asks for it.
 
 A grid is linear when every symbol's location set is a coset of one
 2-dimensional subspace, and a flag adds a 3-dimensional space whose cosets
@@ -14,7 +15,7 @@ values are those digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 
 from .gf import Field
 from .linalg import Subspace, Vec4, functional_values, subspace_from
@@ -30,10 +31,22 @@ class InvalidFlagData(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """q^2 x q^2 grid of integer symbols, rows top to bottom."""
+    """q^2 x q^2 grid as its symbols' radix and units digits, one byte per cell.
+
+    Cell (r, c) sits at the packed location r*q^2 + c of both tables, which
+    are the rows this grid contributes to an assembled array.
+    """
 
     q: int
-    rows: tuple[tuple[int, ...], ...]
+    radix: bytes
+    units: bytes
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The symbol rows q*radix + units, top to bottom, built once per grid."""
+        q, side = self.q, self.q * self.q
+        symbols = [q * r + u for r, u in zip(self.radix, self.units)]
+        return tuple(tuple(symbols[i : i + side]) for i in range(0, side * side, side))
 
 
 @dataclass(frozen=True)
@@ -139,12 +152,13 @@ def subspace_gamma(sub: Subspace):
     return ((r1[2], r2[2]), (r1[3], r2[3]))
 
 
-def coset_index_map(flag: Flag) -> list[int]:
-    """Grid symbol q*phi(x) + psi(x) of every point x of F^4, in packed order."""
-    field = flag.field
-    q = field.q
-    radix, units = functional_values(field, flag.phi), functional_values(field, flag.psi)
-    return [q * r + u for r, u in zip(radix, units)]
+def coset_index_map(flag: Flag) -> tuple[bytes, bytes]:
+    """The value tables of phi and psi: each point's radix and units digit.
+
+    Both are in packed order, and the packed location
+    ((x1*q + x2)*q + x3)*q + x4 is the grid cell row*q^2 + column.
+    """
+    return functional_values(flag.field, flag.phi), functional_values(flag.field, flag.psi)
 
 
 def generate(flag: Flag) -> Grid:
@@ -154,11 +168,7 @@ def generate(flag: Flag) -> Grid:
     0..q-1; within each, its q symbol-space cosets numbered the same way get
     units digits 0..q-1 (see ``Flag``).
     """
-    q = flag.field.q
-    # The packed location ((x1*q + x2)*q + x3)*q + x4 is row*q^2 + column.
-    symbol_at = coset_index_map(flag)
-    side = q * q
-    return Grid(q, tuple(tuple(symbol_at[r : r + side]) for r in range(0, side * side, side)))
+    return Grid(flag.field.q, *coset_index_map(flag))
 
 
 # -- exactly-once scanning ------------------------------------------------------
@@ -183,5 +193,4 @@ def are_orthogonal(a: Grid, b: Grid) -> bool:
     """Superimposed ordered symbol pairs are all distinct."""
     if a.q != b.q:
         raise DimensionMismatch(f"grid shapes differ: q={a.q} vs q={b.q}")
-    cells = chain.from_iterable
-    return first_repeat(list(zip(cells(a.rows), cells(b.rows)))) is None
+    return first_repeat(list(zip(a.radix, a.units, b.radix, b.units))) is None

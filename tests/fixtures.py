@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from sudoku_ooa import FlagData, Grid
 
 
 def grid(q, rows):
-    return Grid(q, tuple(tuple(r) for r in rows))
+    """Grid from rows of symbols, each split into its radix and units digit.
+
+    bytes() refuses a symbol whose digit is below 0 or above 255.
+    """
+    cells = list(chain.from_iterable(rows))
+    return Grid(q, bytes(map(q.__rfloordiv__, cells)), bytes(map(q.__rmod__, cells)))
 
 
 def grid_base(q, rows):
     """Grid from rows of base-q digit strings like '21'."""
-    return Grid(q, tuple(tuple(int(tok, q) for tok in row.split()) for row in rows))
+    return grid(q, [[int(tok, q) for tok in row.split()] for row in rows])
 
 
 # A verified ordered orthogonal array with q = 2 and 3 bands.
@@ -158,7 +164,7 @@ def preserves_radix_classes(mapping, q: int) -> bool:
 
 
 def relabel(g: Grid, mapping) -> Grid:
-    return Grid(g.q, tuple(tuple(mapping[x] for x in row) for row in g.rows))
+    return grid(g.q, [[mapping[x] for x in row] for row in g.rows])
 
 
 def random_radix_preserving_bijection(q: int, rng: random.Random):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 
+from fixtures import grid as grid_from_rows
 from sudoku_ooa import DimensionMismatch, Grid, NotMutuallyOrthogonal
 from sudoku_ooa.strong import _report
 from sudoku_ooa.sudoku import first_repeat
@@ -25,15 +26,15 @@ def _check_shapes(a: Grid, b: Grid) -> None:
 def radix(grid: Grid) -> Grid:
     """Cellwise first base-q digit."""
     q = grid.q
-    return Grid(q, tuple(tuple(s // q for s in row) for row in grid.rows))
+    return grid_from_rows(q, [[s // q for s in row] for row in grid.rows])
 
 
 def composite(ri: Grid, rj: Grid) -> Grid:
     """Superimpose two radix-alphabet grids; the first supplies the radix digit."""
     _check_shapes(ri, rj)
     q = ri.q
-    return Grid(
-        q, tuple(tuple(q * a + b for a, b in zip(ra, rb)) for ra, rb in zip(ri.rows, rj.rows))
+    return grid_from_rows(
+        q, [[q * a + b for a, b in zip(ra, rb)] for ra, rb in zip(ri.rows, rj.rows)]
     )
 
 

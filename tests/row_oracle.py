@@ -14,6 +14,7 @@ read grid output back through it.
 
 from __future__ import annotations
 
+from fixtures import grid
 from sudoku_ooa import BandedArray, Grid
 from sudoku_ooa.files import ParseError, _body_lines, _header_fields, _quote
 from sudoku_ooa.gf import MAX_ORDER
@@ -44,7 +45,7 @@ def grid_from_text(text: str) -> Grid:
         raise ParseError(1, f"field order must be at most {MAX_ORDER}, got {q}")
     side = q * q
     body = _body_lines(lines, side, "grid")
-    return Grid(q, tuple(int_row(ln, lineno, side, side) for lineno, ln in body))
+    return grid(q, [int_row(ln, lineno, side, side) for lineno, ln in body])
 
 
 def array_from_text(text: str) -> BandedArray:

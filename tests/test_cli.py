@@ -148,6 +148,11 @@ GRID_SHA256 = {
         "ed96b7408998ce563cbefe6672b80269eaf9c4e0eb63238611afe55b9a0e0ea0",
         "7d7582111c2ce4db78ef6ced20e3d18eba01e706ee3ce11ece0340b6bdd19c2b",
     ],
+    # The first order whose symbols, up to q^2 - 1 = 288, do not fit in a byte.
+    (17, 4): [
+        "4a4380c78a6e5e8f2fff3f85b631827e4e16e1193abe5fc5196d03bfb81b757e",
+        "d001562feba9c1a45e0dd7c9da86e48877130bcbb10889fcdab8ae9f7c9dbe68",
+    ],
 }
 
 
@@ -443,6 +448,15 @@ def test_gen_sudoku(tmp_path, capsys):
     grid = grid_from_text(out.read_text())
     assert grid.q == 3
     assert is_sudoku(grid)
+
+
+def test_gen_sudoku_matches_pinned_digest(tmp_path, capsys):
+    # q = 27, the largest order in the brute-force range: symbols up to 728.
+    out = tmp_path / "grid.txt"
+    code, _, _ = run(capsys, "gen-sudoku", "--q", "27", "--flag", "2,1,5,3,7", "--out", str(out))
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "6b1c25703e960e3709292496820b9948f430aad953711d52a0ec2263a0efc903"
 
 
 def test_gen_sudoku_bad_flag(capsys):

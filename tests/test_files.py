@@ -37,12 +37,12 @@ def test_grid_roundtrip():
 
 
 def test_grid_text_prints_symbols_outside_the_alphabet_as_str():
-    # A Grid does not check its symbols; one outside 0..q^2-1, or a float,
-    # is printed as str() prints it, never as another symbol's name.
-    rows = [list(r) for r in fx.SA42_M1.rows]
-    rows[1][:4] = [-1, 4, 1000, 1.0]
-    line = grid_to_text(Grid(2, tuple(map(tuple, rows)))).splitlines()[2]
-    assert line.split() == ["-1", "4", "1000", "1.0"]
+    # A Grid does not check its digits; a cell with one at q or above is
+    # printed as str(q*radix + units), never as another symbol's name.
+    radix, units = bytearray(fx.SA42_M1.radix), bytearray(fx.SA42_M1.units)
+    radix[4:8], units[4:8] = [2, 0, 255, 1], [0, 7, 255, 1]
+    line = grid_to_text(Grid(2, bytes(radix), bytes(units))).splitlines()[2]
+    assert line.split() == ["4", "7", "765", "3"]
 
 
 def test_grid_parse_errors():

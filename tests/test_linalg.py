@@ -124,7 +124,8 @@ def test_cosets_partition(q):
     points = list(itertools.product(range(q), repeat=4))  # packed order
     for _ in range(6):
         symbol_space, radix_space = _random_spaces(f, rng)
-        symbols = coset_index_map(flag_from_spaces(symbol_space, radix_space))
+        radix, units = coset_index_map(flag_from_spaces(symbol_space, radix_space))
+        symbols = [q * r + u for r, u in zip(radix, units)]
         assert sorted(set(symbols)) == list(range(q * q))
         first = [symbols.index(sym) for sym in range(q * q)]
         sym_members = span_elements(symbol_space)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +20,7 @@ from sudoku_ooa import (
     NotTopJustified,
     assemble,
     classify,
+    construct_family,
     duplicate_finder,
     generate,
     make_field,
@@ -99,7 +102,7 @@ def test_assemble_reads_its_grids_one_at_a_time():
     def grids():
         for _ in range(4):
             assert all(ref() is None for ref in seen[:-1])
-            grid = Grid(3, fx.PAIR3_M1.rows)
+            grid = Grid(3, fx.PAIR3_M1.radix, fx.PAIR3_M1.units)
             seen.append(weakref.ref(grid))
             yield grid
             del grid
@@ -107,25 +110,47 @@ def test_assemble_reads_its_grids_one_at_a_time():
     assert assemble(grids()) == assemble([fx.PAIR3_M1] * 4)
 
 
+def test_assemble_at_q27_holds_little_beyond_the_array():
+    # A grid is its two digit tables, and assemble takes them as the array's
+    # rows: beyond the array, the peak holds one grid's tables in the making.
+    q = 27
+    data = construct_family(q, max_guaranteed_s(q)).data
+    tracemalloc.start()
+    try:
+        array = assemble(generate(d.flag()) for d in data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert array.s == 15
+    assert peak <= sum(map(len, array.rows)) + 4 * q**4
+    grid = generate(data[0].flag())
+    assert type(grid.radix) is bytes and type(grid.units) is bytes
+    assert len(grid.radix) == len(grid.units) == q**4
+
+
 @pytest.mark.parametrize("q", [3, 7])
 def test_assemble_refuses_symbols_outside_the_grid_alphabet(q):
-    # A symbol outside 0..q^2-1 has digits computed as q-ary quotient and
-    # remainder: bytes() refuses a digit below 0 or above 255, BandedArray
-    # one in q..255.  Row 4 is the first grid's radix row, row 6 the second's.
-    # A float is refused even where it equals a symbol.
+    # A cell's symbol is outside 0..q^2-1 when one of its digits is outside
+    # 0..q-1.  A digit is a byte, so that is q..255, and BandedArray refuses
+    # it in whichever of the four digit rows it sits: rows 4 and 5 are the
+    # first grid's radix and units rows, rows 6 and 7 the second's.
     grid = fx.PAIR3_M1 if q == 3 else generate(FlagData(make_field(7), 1, 1, 0, 1, 1).flag())
-    byte_error = (ValueError, r"^bytes must be in range\(0, 256\)$")
-    digit_error = (MalformedArray, rf"^row {{row}}: entry outside 0\.\.{q - 1}$")
-    float_error = (TypeError, r"^'float' object cannot be interpreted as an integer$")
-    cases = {-1: byte_error, q * q: digit_error, q**4: digit_error if q**3 < 256 else byte_error}
-    cases[1.0] = float_error
-    for symbol, (error, message) in cases.items():
-        rows = [list(r) for r in grid.rows]
-        rows[1][2] = symbol
-        bad = Grid(q, tuple(map(tuple, rows)))
-        for grids, row in (([bad, grid], 4), ([grid, bad], 6)):
-            with pytest.raises(error, match=message.format(row=row)):
-                assemble(iter(grids))
+    cell = 1 * q * q + 2  # row 1, column 2
+    for digit in (q, 255):
+        for depth, which in enumerate(("radix", "units")):
+            table = bytearray(getattr(grid, which))
+            table[cell] = digit
+            bad = replace(grid, **{which: bytes(table)})
+            for grids, row in (([bad, grid], 4 + depth), ([grid, bad], 6 + depth)):
+                expected = rf"^row {row}: entry outside 0\.\.{q - 1}$"
+                with pytest.raises(MalformedArray, match=expected):
+                    assemble(iter(grids))
+    ncols = q**4
+    short = replace(grid, units=grid.units[:-1])
+    for grids, row in (([short, grid], 5), ([grid, short], 7)):
+        expected = rf"^row {row}: expected {ncols} columns, got {ncols - 1}$"
+        with pytest.raises(MalformedArray, match=expected):
+            assemble(iter(grids))
 
 
 def test_top_justified_counts():

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+import fixtures as fx
 import row_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -22,7 +23,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sudoku_ooa import (  # noqa: E402
     BandedArray,
     FlagData,
-    Grid,
     InvalidFlagData,
     ParseError,
     array_from_text,
@@ -43,7 +43,7 @@ def grids(draw):
     side = q * q
     cells = st.lists(st.integers(0, side - 1), min_size=side, max_size=side)
     rows = draw(st.lists(cells, min_size=side, max_size=side))
-    return Grid(q, tuple(tuple(r) for r in rows))
+    return fx.grid(q, rows)
 
 
 def _datum_or_none(field, entries):

@@ -90,7 +90,7 @@ def corrupt_cell(grid: Grid, rng: random.Random) -> Grid:
     side = grid.q * grid.q
     r, c = rng.randrange(side), rng.randrange(side)
     rows[r][c] = rng.choice([x for x in range(side) if x != rows[r][c]])
-    return Grid(grid.q, tuple(tuple(row) for row in rows))
+    return fx.grid(grid.q, rows)
 
 
 def corrupt_array(array: BandedArray, rng: random.Random) -> BandedArray:
