@@ -14,13 +14,15 @@ slot per column, so a row set's q^4 tuple keys come out of a few big-integer
 operations instead of a loop over columns.  One driver, ``scan``, runs every
 scan: it yields each set with its verdict, in order, and its callers stop
 reading once they know enough, ``verify`` at the first failing set and
-``strong.check_combinatorial`` when a precondition fails.  A scan of at least
-``PARALLEL_WORK`` key tuples (row sets x q^4) on more than one CPU is split
-into up to ``MAX_WORKERS`` contiguous blocks of row sets: the calling process
-scans the first and a worker process (``workers``) each further one, and the
-verdicts are the ones a single process gives.  ``check_size`` refuses arrays
-above the ``MAX_ENTRIES`` memory budget; the array parser and every command
-that builds an array call it before building anything.
+``strong.check_combinatorial`` when a precondition fails.  A scan is split
+into one contiguous block of row sets per ``WORKER_START`` key tuples (row
+sets x q^4), the tuples this process scans while a worker starts, up to
+``MAX_WORKERS`` and the CPUs, when that gives at least two: the calling
+process scans the first block and a worker process (``workers``) each
+further one, and the verdicts are the ones a single process gives.
+``check_size`` refuses arrays above the ``MAX_ENTRIES`` memory budget; the
+array parser and every command that builds an array call it before building
+anything.
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ RowSet = frozenset  # of (band, depth) labels, both 1-based
 # up to q = 27, whose max_s array has 15.9 M entries.
 MAX_ENTRIES = 2**24
 
-# A scan of this many key tuples (row sets x q^4 columns) or more is split
-# across processes.  At q = 16 an ooa scan (615 sets, 40.3 M tuples) takes
-# about 3.3 s in one process; at q = 13 (7.6 M) a worker's start-up, about
-# 0.1 s, eats most of what it saves.
-PARALLEL_WORK = 2**24
+# Key tuples (row sets x q^4 columns) this process scans while one worker
+# starts: a worker's first reply byte comes 37-42 ms after its start, and a
+# tuple takes 34-40 ns (q = 13, median of 15 starts, a shared 2-CPU VM).  It
+# sets both how many processes a scan uses and where their blocks begin (see
+# _bounds), so a split pays from q = 11 up.
+WORKER_START = 2**20
 MAX_WORKERS = 4  # each worker holds a copy of the packed array
 
 
@@ -306,21 +309,22 @@ def scan(array: BandedArray, sets):
     """Generator of (rowset, hit) for each set, in order, hit as ``duplicate_finder`` gives it.
 
     The sets are scanned in contiguous blocks, one per process (see
-    _worker_count): a worker (``workers``) is started for each block but the
-    first before this process scans block 0, and the workers' verdicts are
-    read in block order as they arrive.  Every pair holds a verdict that some
-    process computed.  Closing the generator, or reading it to the end, kills
+    _bounds): a worker (``workers``) is started for each block but the first
+    before this process scans block 0, and the workers' verdicts are read in
+    block order as they arrive.  Every pair holds a verdict that some
+    process computed; a worker's fail names its two columns, so no set is
+    scanned twice.  Closing the generator, or reading it to the end, kills
     and reaps every worker.  A worker that exits non-zero raises OSError, a
     malformed reply ValueError, each after the last pair it gave.
     """
-    w = _worker_count(len(sets), array.q)
-    bounds = [len(sets) * k // w for k in range(w + 1)]
+    bounds = _bounds(len(sets), array.q)
     blocks = [sets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     started = []  # (process, stderr file) of each worker
     try:
-        if w > 1:
-            # Imported only for a split scan: its modules (json, subprocess)
-            # would add several ms to every start of the program.
+        if len(blocks) > 1:
+            # Imported only for a split scan: it and what it uses (json,
+            # subprocess, tempfile) would add several ms to every start of
+            # the program.
             from . import workers
 
             for block in blocks[1:]:
@@ -331,7 +335,7 @@ def scan(array: BandedArray, sets):
         first_duplicate = duplicate_finder(array)
         yield from ((rowset, first_duplicate(rowset)) for rowset in blocks[0])
         for worker, block in zip(started, blocks[1:]):
-            yield from workers.hits(worker, block, first_duplicate)
+            yield from workers.hits(worker, block, array)
     finally:
         for proc, _ in started:
             proc.kill()  # does nothing to a worker already reaped
@@ -350,7 +354,23 @@ def _cpus() -> int:
 
 
 def _worker_count(sets: int, q: int) -> int:
-    """Processes for a scan of `sets` row sets of q^4 columns."""
-    if sets * q**STRENGTH < PARALLEL_WORK:
-        return 1
-    return min(MAX_WORKERS, _cpus(), sets)
+    """Processes for a scan of `sets` row sets of q^4 columns.
+
+    One per WORKER_START key tuples, and no more than MAX_WORKERS, the CPUs
+    or the sets; a scan that would get fewer than two stays in one process.
+    """
+    w = min(MAX_WORKERS, _cpus(), sets, sets * q**STRENGTH // WORKER_START)
+    return w if w >= 2 else 1
+
+
+def _bounds(sets: int, q: int) -> list[int]:
+    """Bounds of the scan's contiguous blocks, the calling process's first.
+
+    Each of the w - 1 workers takes (sets - lead) // w sets from the end,
+    where lead = WORKER_START // q^4 is the sets this process scans while a
+    worker starts, and this process keeps the rest: its block is longer by
+    the lead, and every process finishes at about the same time.
+    """
+    w = _worker_count(sets, q)
+    per = (sets - WORKER_START // q**STRENGTH) // w
+    return [0, *(sets - per * k for k in range(w - 1, 0, -1)), sets]

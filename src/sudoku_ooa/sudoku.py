@@ -34,12 +34,20 @@ class Grid:
     """q^2 x q^2 grid as its symbols' radix and units digits, one byte per cell.
 
     Cell (r, c) sits at the packed location r*q^2 + c of both tables, which
-    are the rows this grid contributes to an assembled array.
+    are the rows this grid contributes to an assembled array.  A table that
+    is not bytes of q^4 cells is refused; the digits themselves are not
+    checked.
     """
 
     q: int
     radix: bytes
     units: bytes
+
+    def __post_init__(self):
+        for name in ("radix", "units"):
+            table = getattr(self, name)
+            if not isinstance(table, bytes) or len(table) != self.q**4:
+                raise DimensionMismatch(f"{name} table must be bytes of q^4 = {self.q**4} cells")
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:

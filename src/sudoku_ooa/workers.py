@@ -1,47 +1,56 @@
 """Worker processes for a split row-set scan (see ``ooa.scan``).
 
 A worker is a fresh interpreter, started with ``subprocess`` rather than a
-pool, so nothing outlives the call that started it.  Its stdin is an
-anonymous file holding a JSON header line, {"q", "s", "parent", "sets"},
-then the array's 2s rows as the array stores them, q^4 bytes each.  It
-rebuilds the array from those bytes and scans its sets in order with
-``ooa.duplicate_finder``, writing one byte per set to its stdout pipe as it
-goes, ``0`` for a pass and ``1`` for a fail, then a newline.  It stops
-without the rest of its reply at its next set once the process named in
-"parent" is no longer its parent.  Its stderr is an anonymous file, so a
-worker never waits for the caller to read it.
+pool, so nothing outlives the call that started it.  It runs with ``-I -S``:
+no environment variables, no working directory or user site on its path,
+and no ``site`` module, whose ``.pth`` files may import anything.  It loads
+this package and ``json``; ``subprocess`` and ``tempfile``, which only the
+caller needs, are imported in ``start``.  Its stdin is an anonymous file
+holding a JSON header line, {"q", "s", "parent", "sets"}, then the array's
+2s rows as the array stores them, q^4 bytes each.  It rebuilds the array
+from those bytes and scans its sets in order with ``ooa.duplicate_finder``,
+writing one verdict per set to its stdout pipe as it goes, then a newline.
+A verdict is ``0`` for a pass, or ``1`` and the hit's two columns as 4-byte
+little-endian integers for a fail.  It stops without the rest of its reply
+at its next set once the process named in "parent" is no longer its
+parent.  Its stderr is an anonymous file, so a worker never waits for the
+caller to read it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
-import tempfile
-from pathlib import Path
 
 from .ooa import STRENGTH, BandedArray, duplicate_finder
 
 # A fresh interpreter that imports this package from the directory this file
-# sits in (-I: no PYTHONPATH, no working directory on sys.path) and runs serve
-# on its stdin and stdout.
+# sits in (-I: no PYTHONPATH, no working directory on sys.path; -S: no site)
+# and runs serve on its stdin and stdout.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 ARGV = (
     sys.executable,
     "-I",
+    "-S",
     "-c",
-    f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent.parent)!r}); "
+    f"import sys; sys.path.insert(0, {_PACKAGE_DIR!r}); "
     "from sudoku_ooa.workers import serve; serve(sys.stdin.buffer, sys.stdout.buffer)",
 )
 
+COLUMN = 4  # bytes of each column index a fail carries, little-endian
 
-def start(array: BandedArray, block) -> tuple[subprocess.Popen, object]:
+
+def start(array: BandedArray, block):
     """(process, stderr file) of a worker scanning `block` of `array`.
 
     Its input is written to the anonymous file before it starts, so nothing
     here waits on the worker.  The caller kills and waits for the process and
     closes its stdout and the stderr file.
     """
+    import subprocess
+    import tempfile
+
     header = {"q": array.q, "s": array.s, "parent": os.getpid()}
     header["sets"] = [sorted(rs) for rs in block]
     err = tempfile.TemporaryFile()
@@ -58,23 +67,26 @@ def start(array: BandedArray, block) -> tuple[subprocess.Popen, object]:
     return proc, err
 
 
-def hits(worker, block, first_duplicate):
-    """Yield (rowset, hit) for each set of `block` as its byte arrives, then reap the worker.
+def hits(worker, block, array: BandedArray):
+    """Yield (rowset, hit) for each set of `block` as its verdict arrives, then reap the worker.
 
-    A ``0`` gives None, and a ``1`` the set's hit, found again with this
-    process's `first_duplicate`.  A reply is malformed unless it is one such
-    byte per set, a ``1`` only where the set fails, then a newline and
-    nothing more.  At the first bad byte, the end of the reply included, no
-    pair is yielded; then, or after the last set, the reply is read to its
-    end and the worker reaped.  A non-zero exit then raises OSError, and a
-    malformed reply ValueError.
+    A ``0`` gives None, and a ``1`` the hit at the two columns it names,
+    read off `array`: the set's rows at the second column, and both columns.
+    A reply is malformed unless it is one such verdict per set, each ``1``
+    naming columns first < second < q^4 at which every row of its set
+    agrees, then a newline and nothing more.  At the first bad verdict, the
+    end of the reply included, no pair is yielded; then, or after the last
+    set, the reply is read to its end and the worker reaped.  A non-zero exit
+    then raises OSError, and a malformed reply ValueError.
     """
     proc, err = worker
     reply = b""
     for rowset in block:
         verdict = proc.stdout.read(1)
+        if verdict == b"1":
+            verdict += proc.stdout.read(2 * COLUMN)
         reply += verdict
-        hit = first_duplicate(rowset) if verdict == b"1" else None
+        hit = _named_hit(array, rowset, verdict[1:]) if verdict[:1] == b"1" else None
         if hit is None and verdict != b"0":
             end = None  # no end mends a bad verdict
             break
@@ -91,6 +103,20 @@ def hits(worker, block, first_duplicate):
         raise ValueError(f"malformed reply from a row-set scan worker: {(reply + rest)[:80]!r}")
 
 
+def _named_hit(array: BandedArray, rowset, columns: bytes):
+    """The hit at the two columns a ``1`` names, or None unless its set repeats a tuple there."""
+    if len(columns) != 2 * COLUMN:
+        return None
+    first = int.from_bytes(columns[:COLUMN], "little")
+    second = int.from_bytes(columns[COLUMN:], "little")
+    if not first < second < array.q**STRENGTH:
+        return None
+    rows = [array.row(b, d) for b, d in sorted(rowset)]
+    if any(row[first] != row[second] for row in rows):
+        return None
+    return tuple(row[second] for row in rows), first, second
+
+
 def serve(inp, out) -> None:
     """A worker's body: read its block from `inp`, reply on `out`, a byte stream."""
     header = json.loads(inp.readline())
@@ -101,6 +127,10 @@ def serve(inp, out) -> None:
     for labels in header["sets"]:
         if os.getppid() != header["parent"]:
             return
-        out.write(b"0" if first_duplicate(frozenset(map(tuple, labels))) is None else b"1")
+        hit = first_duplicate(frozenset(map(tuple, labels)))
+        if hit is None:
+            out.write(b"0")
+        else:
+            out.write(b"1" + b"".join(c.to_bytes(COLUMN, "little") for c in hit[1:]))
         out.flush()
     out.write(b"\n")

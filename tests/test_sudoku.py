@@ -28,6 +28,7 @@ from linalg_oracle import (
 from sudoku_ooa import (
     DimensionMismatch,
     FlagData,
+    Grid,
     InvalidFlagData,
     are_orthogonal,
     det,
@@ -201,6 +202,23 @@ def test_composite_examples():
 def test_composite_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         composite(fx.COMPOSITE_R1, fx.FLAG_DEMO_RADIX)
+
+
+@pytest.mark.parametrize(
+    "radix,units",
+    [
+        (bytes(16), bytes(15)),  # a short units table
+        (bytes(17), bytes(16)),  # a long radix table
+        (bytes(16), bytearray(16)),
+        (list(bytes(16)), bytes(16)),
+        (bytes(16), tuple(bytes(16))),
+    ],
+    ids=["short", "long", "bytearray", "list", "tuple"],
+)
+def test_grid_refuses_a_table_that_is_not_q4_bytes(radix, units):
+    with pytest.raises(DimensionMismatch, match="q\\^4 = 16 cells"):
+        Grid(2, radix, units)
+    assert Grid(2, bytes(16), bytes(16)).rows == ((0,) * 4,) * 4
 
 
 def test_predicate_examples():

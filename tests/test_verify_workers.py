@@ -2,19 +2,20 @@
 
 ``verify`` and ``check_combinatorial`` read one driver, ``ooa.scan``, which
 yields each row set with its verdict, (rowset, hit), in order, and the split
-pairs must be the one-process pairs.  The threshold ``PARALLEL_WORK`` is
-set to 0 to force the split and to infinity to forbid it, and the CPU count
-to 3, so small arrays scan in three blocks: block 0 in this process, blocks 1
-and 2 in workers.  Corrupted copies put the first failing set in a chosen
+pairs must be the one-process pairs.  The worker-start constant
+``WORKER_START`` is set to 1 key tuple to force the split and to 2^64 to
+forbid it, and the CPU count to 3, so small arrays scan in three blocks:
+block 0 in this process, blocks 1 and 2 in workers, each n // 3 of the n
+sets from the end.  Corrupted copies put the first failing set in a chosen
 block; workers of lower blocks are slowed down so that a later block's hit
 arrives first, and the earliest set must still win.  Failing families put the
 condition report's failing sets in two or three blocks, and the split report
-must be the one-process report.  A worker replies one byte per set, ``0`` or
-``1``, then a newline; stand-in workers give malformed replies, exits and
-stderr floods, each of which must be an error naming what went wrong, after
-one pair per verdict byte the worker sent.  After
-every call, this process has no child left (checked where /proc lists
-children).
+must be the one-process report.  A worker replies one verdict per set,
+``0``, or ``1`` and the two columns of the set's hit, then a newline;
+stand-in workers give malformed replies, exits and stderr floods, each of
+which must be an error naming what went wrong, after one pair per verdict
+the worker sent.  After every call, this process has no child left (checked
+where /proc lists children).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import ast
 import glob
 import json
-import math
 import os
 import random
 import subprocess
@@ -77,7 +77,7 @@ def run_split(monkeypatch, call, parallel=True):
     """call() with the split forced or forbidden; no child may outlive it."""
     before = children()
     with monkeypatch.context() as m:
-        m.setattr(ooa, "PARALLEL_WORK", 0 if parallel else math.inf)
+        m.setattr(ooa, "WORKER_START", 1 if parallel else 2**64)
         m.setattr(ooa, "_cpus", lambda: BLOCKS)
         try:
             return call()
@@ -97,8 +97,17 @@ def mode_sets(s: int, mode: str) -> list:
     return [rs for rs in top_justified_sets(s) if mode == "ooa" or ooa.classify(rs) == "sudoku-TJ"]
 
 
+def block_bounds(n: int) -> list[int]:
+    """Bounds of the forced split's blocks of n sets: with WORKER_START = 1
+    this process leads by no set, so each worker takes n // BLOCKS sets from
+    the end and block 0 keeps the rest."""
+    per = n // BLOCKS
+    return [0, *(n - per * k for k in range(BLOCKS - 1, 0, -1)), n]
+
+
 def block_of(index: int, n: int) -> int:
-    return next(k for k in range(BLOCKS) if n * k // BLOCKS <= index < n * (k + 1) // BLOCKS)
+    bounds = block_bounds(n)
+    return next(k for k in range(BLOCKS) if bounds[k] <= index < bounds[k + 1])
 
 
 def corrupted(array: BandedArray, labels) -> BandedArray:
@@ -126,9 +135,8 @@ def failing_blocks(array: BandedArray, mode: str) -> list[int]:
 def delaying_worker(delays: dict[int, float], array: BandedArray, mode: str) -> tuple:
     """Worker argv that sleeps delays[k] seconds before scanning block k."""
     sets = mode_sets(array.s, mode)
-    by_first = {
-        json.dumps(sorted(sets[len(sets) * k // BLOCKS])): seconds for k, seconds in delays.items()
-    }
+    bounds = block_bounds(len(sets))
+    by_first = {json.dumps(sorted(sets[bounds[k]])): seconds for k, seconds in delays.items()}
     code = (
         f"import io, json, sys, time; sys.path.insert(0, {str(SRC)!r}); "
         "from sudoku_ooa.workers import serve; data = sys.stdin.buffer.read(); "
@@ -142,7 +150,8 @@ def delaying_worker(delays: dict[int, float], array: BandedArray, mode: str) -> 
 def garbling_worker(served, array: BandedArray, mode: str) -> tuple:
     """Worker argv that scans the blocks in `served` and replies PASS to the rest."""
     sets = mode_sets(array.s, mode)
-    firsts = {json.dumps(sorted(sets[len(sets) * k // BLOCKS])) for k in served}
+    bounds = block_bounds(len(sets))
+    firsts = {json.dumps(sorted(sets[bounds[k]])) for k in served}
     code = (
         f"import io, json, sys; sys.path.insert(0, {str(SRC)!r}); "
         "from sudoku_ooa.workers import serve; data = sys.stdin.buffer.read(); "
@@ -271,7 +280,7 @@ def run_with_worker(tmp_path, monkeypatch, capsys, code: str, level: str | None)
     assert main(["construct", "--q", "3", "--s", "4", "--out", str(path), *emit]) == 0
     capsys.readouterr()
     before = children()
-    monkeypatch.setattr(ooa, "PARALLEL_WORK", 0)
+    monkeypatch.setattr(ooa, "WORKER_START", 1)
     monkeypatch.setattr(ooa, "_cpus", lambda: 2)
     monkeypatch.setattr(workers, "ARGV", (sys.executable, "-c", code))
     argv = ["check-family", str(path), "--level", level] if level else ["verify", str(path)]
@@ -286,17 +295,22 @@ def run_with_worker(tmp_path, monkeypatch, capsys, code: str, level: str | None)
     [
         ("import sys; sys.exit(3)", EXITED),
         ("print('PASS')", malformed(b"PASS\n")),
-        ("print('1')", malformed(b"1\n")),  # set 0 passes
-        ("print('0')", malformed(b"0\n")),  # the block has 10 sets
-        (FULL + "sys.stdout.write('x')", malformed(b"0" * 10 + b"\nx")),
+        ("print('1')", malformed(b"1\n")),  # no columns
+        (  # set 10 passes: its rows differ at columns 0 and 1
+            "import sys; sys.stdout.write('1\\0\\0\\0\\0\\1\\0\\0\\0\\n')",
+            malformed(b"1\0\0\0\0\1\0\0\0\n"),
+        ),
+        ("print('0')", malformed(b"0\n")),  # the block has 9 sets
+        (FULL + "sys.stdout.write('x')", malformed(b"0" * 9 + b"\nx")),
         (FULL + "sys.exit(3)", EXITED),
     ],
     ids=[
-        "exit-3", "not-json", "set-passes", "short", "past-the-newline", "exit-3-after-a-full-reply"
+        "exit-3", "not-json", "no-columns", "set-passes", "short", "past-the-newline",
+        "exit-3-after-a-full-reply",
     ],
 )
 def test_failed_worker_is_an_error_not_a_verdict(tmp_path, monkeypatch, capsys, code, message):
-    assert len(top_justified_sets(4)) == 19  # block 1 of 2 is sets 9..18
+    assert len(top_justified_sets(4)) == 19  # block 1 of 2 is sets 10..18
     assert run_with_worker(tmp_path, monkeypatch, capsys, code, None) == (2, "", message)
 
 
@@ -317,7 +331,7 @@ def test_a_worker_flooding_its_stderr_gives_its_exit_code(tmp_path):
     child = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); "
         "from sudoku_ooa import ooa, workers; from sudoku_ooa.cli import main; "
-        f"ooa.PARALLEL_WORK = 0; ooa._cpus = lambda: 2; workers.ARGV = {worker!r}; "
+        f"ooa.WORKER_START = 1; ooa._cpus = lambda: 2; workers.ARGV = {worker!r}; "
         f"sys.exit(main(['verify', {str(path)!r}]))"
     )
     done = subprocess.run(
@@ -358,6 +372,11 @@ workers.serve(sys.stdin.buffer, sys.stdout.buffer)
     assert time.monotonic() - began < 30
 
 
+def fail(hit) -> bytes:
+    """A worker's verdict on a failing set: ``1`` and the hit's two columns."""
+    return b"1" + b"".join(c.to_bytes(workers.COLUMN, "little") for c in hit[1:])
+
+
 def test_reply_rules_hold_where_the_named_sets_fail(monkeypatch):
     # Every set of the block fails, so only the rule under test rejects a reply.
     array = corrupted(family_array(3), [(1, 1)])
@@ -370,21 +389,40 @@ def test_reply_rules_hold_where_the_named_sets_fail(monkeypatch):
         monkeypatch.setattr(workers, "ARGV", (sys.executable, "-c", code))
         proc, err = worker = workers.start(array, block)
         try:
-            return list(workers.hits(worker, block, finder))
+            return list(workers.hits(worker, block, array))
         finally:
             proc.kill()
             proc.wait()
             proc.stdout.close()
             err.close()
 
-    assert reply(b"101\n") == [
+    one, three = fail(finder(block[0])), fail(finder(block[2]))
+    assert reply(one + b"0" + three + b"\n") == [
         (block[0], finder(block[0])), (block[1], None), (block[2], finder(block[2]))
     ]
     assert reply(b"000\n") == [(rs, None) for rs in block]
-    bad = (b"", b"\n", b"10", b"101", b"10\n", b"1011\n", b"101\n\n", b"101\nx", b"1x1\n", b" 101\n")
+    bad = (
+        b"", b"\n", one + b"0", one + b"0" + three, one + b"0\n", one + b"0" + three + b"0\n",
+        one + b"0" + three + b"\n\n", one + b"0" + three + b"\nx", one + b"x" + three + b"\n",
+        b" " + one + b"0" + three + b"\n",
+        b"10" + three + b"\n",  # no columns
+        one[:5] + b"\n",  # one column
+    )
     for data in bad:
         with pytest.raises(ValueError, match="malformed reply"):
             reply(data)
+    _, first, second = finder(block[0])
+    rows = [array.row(b, d) for b, d in sorted(block[0])]
+    differ = next(m for m in range(array.q**4) if rows[0][m] != rows[0][first])
+    named = [
+        (first, differ) if first < differ else (differ, first),  # rows that differ
+        (second, first),  # not first < second
+        (first, first),
+        (first, array.q**4),  # past the last column
+    ]
+    for a, b in named:
+        with pytest.raises(ValueError, match="malformed reply"):
+            reply(fail((None, a, b)) + b"0" + three + b"\n")
 
 
 def pairs_then_error(pairs) -> tuple[list, str]:
@@ -421,7 +459,7 @@ def test_a_reply_that_ends_early_gives_one_pair_per_byte_sent(monkeypatch, code,
     block = sets[:5]
     proc, err = worker = workers.start(array, block)
     try:
-        assert pairs_then_error(workers.hits(worker, block, finder)) == (
+        assert pairs_then_error(workers.hits(worker, block, array)) == (
             [(block[0], None)], repr(error)
         )
     finally:
@@ -434,7 +472,7 @@ def test_a_reply_that_ends_early_gives_one_pair_per_byte_sent(monkeypatch, code,
         with closing(ooa.scan(array, sets)) as pairs:
             return pairs_then_error(pairs)
 
-    own = [(rs, finder(rs)) for rs in sets[: len(sets) // BLOCKS]]
+    own = [(rs, finder(rs)) for rs in sets[: block_bounds(len(sets))[1]]]
     assert run_split(monkeypatch, three_blocks) == (own + [(sets[len(own)], None)], repr(error))
 
 
@@ -497,14 +535,15 @@ def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
     monkeypatch.setattr(workers, "duplicate_finder", recording_finder)
     failing = failing_indices(array, sets)
     assert failing[0] == 0 and len(failing) > 1
-    verdicts = b"".join(b"1" if index in failing else b"0" for index in range(len(sets)))
-    assert scan(os.getppid()) == verdicts + b"\n"
+    finder = ooa.duplicate_finder(array)
+    verdicts = [fail(finder(rs)) if i in failing else b"0" for i, rs in enumerate(sets)]
+    assert scan(os.getppid()) == b"".join(verdicts) + b"\n"
     assert scan(-1) == b""
     # Orphaned after its second set: the reply stops there, without its newline.
     parent = os.getppid()
     parents = iter([parent] * 2)
     monkeypatch.setattr(os, "getppid", lambda: next(parents, -1))
-    assert scan(parent) == verdicts[:2]
+    assert scan(parent) == b"".join(verdicts[:2])
     assert rebuilt == [array] * 3
     assert all(type(row) is bytes for arr in rebuilt for row in arr.rows)
 
@@ -584,14 +623,30 @@ def test_check_combinatorial_leaves_no_worker_when_the_family_is_refused(
 
 
 def test_worker_count_threshold(monkeypatch):
+    # The block bounds of the benchmarked scans on 2 CPUs: one block per
+    # 2^20 key tuples, and the calling process leads by 2^20 // q^4 sets.
+    monkeypatch.setattr(ooa, "WORKER_START", 2**20)
     monkeypatch.setattr(ooa, "_cpus", lambda: 2)
-    assert ooa._worker_count(615, 16) == 2  # q = 16, ooa: 40.3 M tuples
-    assert ooa._worker_count(53, 16) == 1  # q = 16, sa: 3.5 M
-    assert ooa._worker_count(266, 13) == 1  # q = 13, ooa: 7.6 M
+    table = {
+        (615, 16): [0, 316, 615],  # ooa, 40.3 M tuples, lead 16
+        (266, 13): [0, 151, 266],  # ooa, 7.6 M, lead 36
+        (161, 11): [0, 116, 161],  # ooa, 2.4 M, lead 71
+        (53, 16): [0, 35, 53],  # sa, 3.5 M, lead 16
+        (34, 13): [0, 34],  # sa, 0.97 M
+        (26, 11): [0, 26],  # sa
+        (90, 9): [0, 90],  # ooa, 0.59 M
+        (19, 9): [0, 19],  # sa
+        (45, 7): [0, 45],  # ooa
+    }
+    for (sets, q), bounds in table.items():
+        assert ooa._bounds(sets, q) == bounds, (sets, q)
+        assert ooa._worker_count(sets, q) == len(bounds) - 1
     monkeypatch.setattr(ooa, "_cpus", lambda: 64)
     assert ooa._worker_count(615, 16) == ooa.MAX_WORKERS <= 8
+    assert ooa._bounds(615, 16) == [0, 168, 317, 466, 615]
     monkeypatch.setattr(ooa, "_cpus", lambda: 1)
     assert ooa._worker_count(615, 16) == 1
+    assert ooa._bounds(615, 16) == [0, 615]
 
 
 def test_cpus_without_an_affinity_call(monkeypatch):
@@ -614,6 +669,21 @@ def test_cli_import_loads_no_worker_modules():
     )
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+
+
+def test_worker_loads_no_caller_modules():
+    # A worker's start is paid on every split scan, so it runs without site
+    # and imports only what serve needs; start imports the caller's modules.
+    assert workers.ARGV[1:3] == ("-I", "-S")
+    imports = workers.ARGV[-1].rsplit(";", 1)[0]  # all but the call of serve
+    code = (
+        f"{imports}; print(' '.join(sorted({{'subprocess', 'tempfile', 'pathlib', 'site'}}"
+        " & set(sys.modules))))"
+    )
+    done = subprocess.run(
+        [sys.executable, *workers.ARGV[1:-1], code], capture_output=True, text=True, timeout=60
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
 
