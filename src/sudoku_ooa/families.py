@@ -78,10 +78,11 @@ def select_S(q: int) -> tuple[int, ...]:
     """Deterministic maximal index set for the big construction.
 
     Even q: 1 together with the smaller member of every inverse pair, giving
-    q/2 elements.  Odd q: powers alpha^k of the smallest generator for k in
-    {0, +-1, ..., +-n} when q - 1 = 4n + 2, or {0, +-1, ..., +-(n-1), n} when
-    q - 1 = 4n, giving (q-1)/2 elements.  The output is checked against the
-    pairwise conditions rather than assumed to satisfy them.
+    q/2 elements.  Odd q: powers alpha^k of the smallest generator for
+    -floor((q-3)/4) <= k <= floor((q-1)/4), exponents taken mod q - 1, giving
+    (q-1)/2 elements: {0, +-1, ..., +-n} when q - 1 = 4n + 2, and
+    {0, +-1, ..., +-(n-1), n} when q - 1 = 4n.  The output is checked against
+    the pairwise conditions rather than assumed to satisfy them.
     """
     if q < 4:
         raise SOutOfRange(f"the big construction needs q >= 4, got {q}")
@@ -93,16 +94,8 @@ def select_S(q: int) -> tuple[int, ...]:
                 chosen.append(i)
     else:
         alpha = find_generator(f)
-        m = q - 1
-        if m % 4 == 2:
-            half = (m - 2) // 4
-            exponents = {0} | {e for t in range(1, half + 1) for e in (t, m - t)}
-        else:
-            half = m // 4
-            exponents = {0, half} | {
-                e for t in range(1, half) for e in (t, m - t)
-            }
-        chosen = [f.pow(alpha, e) for e in exponents]
+        exponents = range(-((q - 3) // 4), (q - 1) // 4 + 1)
+        chosen = [f.pow(alpha, k % (q - 1)) for k in exponents]
     out = tuple(sorted(chosen))
     big_family(q, out)  # verifies the pairwise conditions
     return out

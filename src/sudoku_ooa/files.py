@@ -9,6 +9,8 @@ lines for every parse error.
 
 from __future__ import annotations
 
+import sys
+
 from .gf import NotPrimePower, _decimal, _quote, make_field
 from .ooa import ArrayTooLarge, BandedArray, check_size
 from .sudoku import FlagData, Grid, InvalidFlagData
@@ -134,8 +136,21 @@ def decode_text(data: bytes) -> str:
 
 
 def grid_to_text(grid: Grid) -> str:
-    lines = [f"sudoku q={grid.q}"]
-    lines.extend(" ".join(map(str, row)) for row in grid.rows)
+    """The header, then each grid row's symbols q*radix + units, a row at a time.
+
+    A row's cells are read as native 2-byte integers 256*radix + units and
+    named from a table over every such pair up to the largest radix digit,
+    so a digit at q or above is named str(q*radix + units) like any other.
+    """
+    q, side = grid.q, grid.q * grid.q
+    names = [str(q * (k >> 8) + (k & 255)) for k in range(256 * (max(grid.radix) + 1))]
+    units_at = 0 if sys.byteorder == "little" else 1  # the low byte of each pair
+    pairs = bytearray(2 * side)
+    lines = [f"sudoku q={q}"]
+    for top in range(0, side * side, side):
+        pairs[units_at::2] = grid.units[top : top + side]
+        pairs[1 - units_at :: 2] = grid.radix[top : top + side]
+        lines.append(" ".join(map(names.__getitem__, memoryview(pairs).cast("H"))))
     return "\n".join([*lines, ""])
 
 

@@ -4,7 +4,8 @@ A location in a grid is a 4-tuple (x1, x2, x3, x4) of field indices: (x1, x2)
 is the base-q row number and (x3, x4) the base-q column number, so x1 picks
 the large row (row of subsquares) and x3 the large column.  A grid is held as
 its symbols' two base-q digits, a radix and a units table of one byte per
-location; symbol s = q*radix + units is formed only where a reader asks for it.
+location; no table of symbols s = q*radix + units is kept, and ``files``
+forms them a row at a time as it prints the grid.
 
 A grid is linear when every symbol's location set is a coset of one
 2-dimensional subspace, and a flag adds a 3-dimensional space whose cosets
@@ -15,7 +16,6 @@ values are those digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .gf import Field
 from .linalg import Subspace, Vec4, functional_values, subspace_from
@@ -34,9 +34,9 @@ class Grid:
     """q^2 x q^2 grid as its symbols' radix and units digits, one byte per cell.
 
     Cell (r, c) sits at the packed location r*q^2 + c of both tables, which
-    are the rows this grid contributes to an assembled array.  A table that
-    is not bytes of q^4 cells is refused; the digits themselves are not
-    checked.
+    are the rows this grid contributes to an assembled array.  These two
+    tables are the whole grid.  A table that is not bytes of q^4 cells is
+    refused; the digits themselves are not checked.
     """
 
     q: int
@@ -48,13 +48,6 @@ class Grid:
             table = getattr(self, name)
             if not isinstance(table, bytes) or len(table) != self.q**4:
                 raise DimensionMismatch(f"{name} table must be bytes of q^4 = {self.q**4} cells")
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The symbol rows q*radix + units, top to bottom, built once per grid."""
-        q, side = self.q, self.q * self.q
-        symbols = [q * r + u for r, u in zip(self.radix, self.units)]
-        return tuple(tuple(symbols[i : i + side]) for i in range(0, side * side, side))
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,15 @@ no environment variables, no working directory or user site on its path,
 and no ``site`` module, whose ``.pth`` files may import anything.  It loads
 this package and ``json``; ``subprocess`` and ``tempfile``, which only the
 caller needs, are imported in ``start``.  Its stdin is an anonymous file
-holding a JSON header line, {"q", "s", "parent", "sets"}, then the array's
-2s rows as the array stores them, q^4 bytes each.  It rebuilds the array
+holding a JSON header line, {"q", "s", "sets"}, then the array's 2s rows
+as the array stores them, q^4 bytes each.  It rebuilds the array
 from those bytes and scans its sets in order with ``ooa.duplicate_finder``,
 writing one verdict per set to its stdout pipe as it goes, then a newline.
 A verdict is ``0`` for a pass, or ``1`` and the hit's two columns as 4-byte
-little-endian integers for a fail.  It stops without the rest of its reply
-at its next set once the process named in "parent" is no longer its
-parent.  Its stderr is an anonymous file, so a worker never waits for the
-caller to read it.
+little-endian integers for a fail.  Only the caller holds the read end of
+that pipe, so once the caller is gone the worker's next verdict raises
+``BrokenPipeError`` and it stops.  Its stderr is an anonymous file, so a
+worker never waits for the caller to read it.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ def start(array: BandedArray, block):
     import subprocess
     import tempfile
 
-    header = {"q": array.q, "s": array.s, "parent": os.getpid()}
-    header["sets"] = [sorted(rs) for rs in block]
+    header = {"q": array.q, "s": array.s, "sets": [sorted(rs) for rs in block]}
     err = tempfile.TemporaryFile()
     with tempfile.TemporaryFile() as inp:
         inp.write(json.dumps(header).encode() + b"\n")
@@ -125,8 +124,6 @@ def serve(inp, out) -> None:
         BandedArray(q, s, tuple(inp.read(q**STRENGTH) for _ in range(2 * s)))
     )
     for labels in header["sets"]:
-        if os.getppid() != header["parent"]:
-            return
         hit = first_duplicate(frozenset(map(tuple, labels)))
         if hit is None:
             out.write(b"0")

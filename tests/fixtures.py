@@ -143,11 +143,13 @@ PAIR3_PREFIX = [
 
 def symbol_bijection(a: Grid, b: Grid):
     """Per-location symbol map sending grid a onto grid b, or None."""
+    from grid_oracle import symbol_rows
+
     if a.q != b.q:
         return None
     fwd: dict[int, int] = {}
     back: dict[int, int] = {}
-    for ra, rb in zip(a.rows, b.rows):
+    for ra, rb in zip(symbol_rows(a), symbol_rows(b)):
         for x, y in zip(ra, rb):
             if fwd.setdefault(x, y) != y or back.setdefault(y, x) != x:
                 return None
@@ -164,7 +166,9 @@ def preserves_radix_classes(mapping, q: int) -> bool:
 
 
 def relabel(g: Grid, mapping) -> Grid:
-    return grid(g.q, [[mapping[x] for x in row] for row in g.rows])
+    from grid_oracle import symbol_rows
+
+    return grid(g.q, [[mapping[x] for x in row] for row in symbol_rows(g)])
 
 
 def random_radix_preserving_bijection(q: int, rng: random.Random):

@@ -2,20 +2,30 @@
 
 ``sudoku_ooa.strong.check_combinatorial`` scans row sets of the assembled
 array with the same packed scanner as ``verify``.  This module keeps the
-grid-level reading of each condition, independent of that scanner: radix
-grids, composite grids, latin/sudoku tests on symbol sets, and scans of
-superimposed symbol pairs within the whole grid, a large row or a large
-column.  ``condition_report`` evaluates the whole condition system this way.
+grid-level reading of each condition, independent of that scanner: symbol
+rows, radix grids, composite grids, latin/sudoku tests on symbol sets, and
+scans of superimposed symbol pairs within the whole grid, a large row or a
+large column.  ``condition_report`` evaluates the whole condition system this
+way.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations
 
 from fixtures import grid as grid_from_rows
 from sudoku_ooa import DimensionMismatch, Grid, NotMutuallyOrthogonal
 from sudoku_ooa.strong import _report
 from sudoku_ooa.sudoku import first_repeat
+
+
+@lru_cache(maxsize=256)
+def symbol_rows(grid: Grid) -> tuple[tuple[int, ...], ...]:
+    """The symbol rows q*radix + units, top to bottom; memoized per grid."""
+    q, side = grid.q, grid.q * grid.q
+    symbols = [q * r + u for r, u in zip(grid.radix, grid.units)]
+    return tuple(tuple(symbols[i : i + side]) for i in range(0, side * side, side))
 
 
 def _check_shapes(a: Grid, b: Grid) -> None:
@@ -26,16 +36,15 @@ def _check_shapes(a: Grid, b: Grid) -> None:
 def radix(grid: Grid) -> Grid:
     """Cellwise first base-q digit."""
     q = grid.q
-    return grid_from_rows(q, [[s // q for s in row] for row in grid.rows])
+    return grid_from_rows(q, [[s // q for s in row] for row in symbol_rows(grid)])
 
 
 def composite(ri: Grid, rj: Grid) -> Grid:
     """Superimpose two radix-alphabet grids; the first supplies the radix digit."""
     _check_shapes(ri, rj)
     q = ri.q
-    return grid_from_rows(
-        q, [[q * a + b for a, b in zip(ra, rb)] for ra, rb in zip(ri.rows, rj.rows)]
-    )
+    rows = zip(symbol_rows(ri), symbol_rows(rj))
+    return grid_from_rows(q, [[q * a + b for a, b in zip(ra, rb)] for ra, rb in rows])
 
 
 def _first_non_permutation(lines, n: int) -> int | None:
@@ -46,7 +55,8 @@ def _first_non_permutation(lines, n: int) -> int | None:
 
 def latin_violation(grid: Grid) -> str | None:
     side = grid.q * grid.q
-    for what, lines in (("row", grid.rows), ("column", zip(*grid.rows))):
+    rows = symbol_rows(grid)
+    for what, lines in (("row", rows), ("column", zip(*rows))):
         i = _first_non_permutation(lines, side)
         if i is not None:
             return f"{what} {i} is not a permutation of 0..{side - 1}"
@@ -57,9 +67,9 @@ def sudoku_violation(grid: Grid) -> str | None:
     why = latin_violation(grid)
     if why is not None:
         return why
-    q = grid.q
+    q, rows = grid.q, symbol_rows(grid)
     boxes = (
-        chain.from_iterable(row[q * bj : q * bj + q] for row in grid.rows[q * bi : q * bi + q])
+        chain.from_iterable(row[q * bj : q * bj + q] for row in rows[q * bi : q * bi + q])
         for bi in range(q)
         for bj in range(q)
     )
@@ -70,10 +80,10 @@ def sudoku_violation(grid: Grid) -> str | None:
 
 
 def subsquares_latin_violation(grid: Grid) -> str | None:
-    q = grid.q
+    q, rows = grid.q, symbol_rows(grid)
     for bi in range(q):
         for bj in range(q):
-            box = [row[q * bj : q * bj + q] for row in grid.rows[q * bi : q * bi + q]]
+            box = [row[q * bj : q * bj + q] for row in rows[q * bi : q * bi + q]]
             i = _first_non_permutation(box + list(zip(*box)), q)
             if i is not None:
                 what = "row" if i < q else "column"
@@ -91,7 +101,7 @@ def repeated_pair(a: Grid, b: Grid, block: str = "grid") -> str | None:
     _check_shapes(a, b)
     side = a.q * a.q
     height = side if block == "grid" else a.q
-    rows_a, rows_b = a.rows, b.rows
+    rows_a, rows_b = symbol_rows(a), symbol_rows(b)
     if block == "column":
         rows_a, rows_b = tuple(zip(*rows_a)), tuple(zip(*rows_b))
     for top in range(0, side, height):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -83,6 +84,23 @@ def test_select_S_examples():
     assert select_S(4) == (1, 2)
     assert select_S(5) == (1, 2)
     assert select_S(7) == (1, 3, 5)
+
+
+# sha256 of the lines f"{q}:{members}\n", members comma-separated, over the
+# 68 prime powers 4 <= q <= 256.
+SELECT_S_DIGEST = "11b4bc51dc69100be777ad7eecb58213665b0643ace1a8ce85a1d95c441ca81c"
+
+
+def test_select_S_is_pinned_for_every_prime_power_up_to_256():
+    lines = []
+    for q in range(4, 257):
+        try:
+            make_field(q)
+        except NotPrimePower:
+            continue
+        lines.append(f"{q}:{','.join(map(str, select_S(q)))}\n")
+    assert len(lines) == 68
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == SELECT_S_DIGEST
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])

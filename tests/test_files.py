@@ -186,3 +186,18 @@ def test_array_to_text_holds_its_text_once():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * len(text)
+
+
+def test_grid_to_text_holds_no_symbol_table():
+    # The lines, the joined text and the name table, about 2.2x the text; a
+    # table of the q^4 symbols as ints, kept on the grid or built for the
+    # whole grid, takes the peak near 10x at q = 27.
+    grid = generate(construct_family(27, 3).data[0].flag())
+    tracemalloc.start()
+    try:
+        text = grid_to_text(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.startswith("sudoku q=27\n") and len(text.splitlines()) == 1 + 27**2
+    assert peak <= 3 * len(text)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 import fixtures as fx
+from grid_oracle import symbol_rows
 from sudoku_ooa import (
     ArrayTooLarge,
     BandedArray,
@@ -77,7 +78,7 @@ def test_assemble_digits_match_arithmetic(q):
     # q = 16 is the largest order whose symbols fit in a byte; at q = 17
     # every grid holds symbols above 255.
     grid = generate(FlagData(make_field(q), 1, 1, 0, 1, 1).flag())
-    cells = [sym for row in grid.rows for sym in row]
+    cells = [sym for row in symbol_rows(grid) for sym in row]
     locations = [bytes(m // q**e % q for m in range(q**4)) for e in (3, 2, 1, 0)]
     digits = [bytes(sym // q for sym in cells), bytes(sym % q for sym in cells)]
     assert assemble(iter([grid])).rows == tuple(locations + digits)
@@ -268,7 +269,7 @@ def test_sa_equivalence_with_orthogonal_sudoku_grids(q):
     )
     assert verify(assemble(grids), "sa").ok
     # Swap two cells of the first grid: no longer a sudoku solution.
-    rows = [list(r) for r in grids[0].rows]
+    rows = [list(r) for r in symbol_rows(grids[0])]
     rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
     broken = fx.grid(q, rows)
     assert not is_sudoku(broken)

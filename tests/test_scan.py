@@ -15,7 +15,14 @@ import random
 import pytest
 
 import fixtures as fx
-from grid_oracle import composite, large_cols_orthogonal, large_rows_orthogonal, radix, repeated_pair
+from grid_oracle import (
+    composite,
+    large_cols_orthogonal,
+    large_rows_orthogonal,
+    radix,
+    repeated_pair,
+    symbol_rows,
+)
 from sudoku_ooa import (
     BandedArray,
     Grid,
@@ -61,8 +68,9 @@ def ref_pair_witness(a, b, block):
         blocks = [[(r, c) for r in range(q * k, q * k + q) for c in range(side)] for k in range(q)]
     else:
         blocks = [[(r, c) for c in range(q * k, q * k + q) for r in range(side)] for k in range(q)]
+    rows_a, rows_b = symbol_rows(a), symbol_rows(b)
     for k, cells in enumerate(blocks):
-        hit = ref_scan(cells, lambda rc: (a.rows[rc[0]][rc[1]], b.rows[rc[0]][rc[1]]))
+        hit = ref_scan(cells, lambda rc: (rows_a[rc[0]][rc[1]], rows_b[rc[0]][rc[1]]))
         if hit is not None:
             where = "" if block == "grid" else f"large {block} {k}: "
             return f"{where}pair {hit[0]} at cells {hit[1]} and {hit[2]}"
@@ -86,7 +94,7 @@ def location_array(q):
 
 
 def corrupt_cell(grid: Grid, rng: random.Random) -> Grid:
-    rows = [list(row) for row in grid.rows]
+    rows = [list(row) for row in symbol_rows(grid)]
     side = grid.q * grid.q
     r, c = rng.randrange(side), rng.randrange(side)
     rows[r][c] = rng.choice([x for x in range(side) if x != rows[r][c]])

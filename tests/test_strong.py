@@ -14,6 +14,7 @@ import pytest
 
 from composite_oracle import HypothesisViolated, gamma_composite
 import fixtures as fx
+from grid_oracle import symbol_rows
 import sudoku_ooa
 from sudoku_ooa import (
     BandedArray,
@@ -210,7 +211,7 @@ def test_check_combinatorial_single_gf2():
 
 
 def test_check_combinatorial_rejects_non_sudoku():
-    rows = [list(r) for r in fx.PAIR3_M1.rows]
+    rows = [list(r) for r in symbol_rows(fx.PAIR3_M1)]
     rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
     with pytest.raises(NotMutuallyOrthogonal, match="not a sudoku solution"):
         check_combinatorial(assemble([fx.grid(3, rows)]))

@@ -34,6 +34,7 @@ from pathlib import Path
 import pytest
 
 import fixtures as fx
+from grid_oracle import symbol_rows
 from sudoku_ooa import (
     BandedArray,
     NotMutuallyOrthogonal,
@@ -516,35 +517,41 @@ def test_split_pairs_are_the_one_process_pairs_on_check_combinatorial_sets(monke
 def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
     array = corrupted(family_array(3), [(1, 1)])
     sets = mode_sets(array.s, "ooa")
-
-    def scan(parent):
-        header = {"q": 3, "s": array.s, "parent": parent, "sets": [sorted(rs) for rs in sets]}
-        inp = tmp_path / "in"
-        inp.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(array.rows))
-        out = tmp_path / "out"
-        with inp.open("rb") as i, out.open("wb") as o:
-            workers.serve(i, o)
-        return out.read_bytes()
-
-    rebuilt = []
+    header = {"q": 3, "s": array.s, "sets": [sorted(rs) for rs in sets]}
+    inp = tmp_path / "in"
+    inp.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(array.rows))
+    rebuilt, scanned = [], []
 
     def recording_finder(arr):
         rebuilt.append(arr)
-        return ooa.duplicate_finder(arr)
+        first_duplicate = ooa.duplicate_finder(arr)
+
+        def recording(rowset):
+            scanned.append(rowset)
+            return first_duplicate(rowset)
+
+        return recording
 
     monkeypatch.setattr(workers, "duplicate_finder", recording_finder)
     failing = failing_indices(array, sets)
     assert failing[0] == 0 and len(failing) > 1
     finder = ooa.duplicate_finder(array)
     verdicts = [fail(finder(rs)) if i in failing else b"0" for i, rs in enumerate(sets)]
-    assert scan(os.getppid()) == b"".join(verdicts) + b"\n"
-    assert scan(-1) == b""
-    # Orphaned after its second set: the reply stops there, without its newline.
-    parent = os.getppid()
-    parents = iter([parent] * 2)
-    monkeypatch.setattr(os, "getppid", lambda: next(parents, -1))
-    assert scan(parent) == b"".join(verdicts[:2])
-    assert rebuilt == [array] * 3
+    out = tmp_path / "out"
+    with inp.open("rb") as i, out.open("wb") as o:
+        workers.serve(i, o)
+    assert out.read_bytes() == b"".join(verdicts) + b"\n"
+    assert len(scanned) == len(sets)
+    # Its caller gone, no process holds the read end of its stdout pipe: the
+    # first verdict it writes raises, after one set.
+    scanned.clear()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with inp.open("rb") as i, open(write_end, "wb", buffering=0) as o:
+        with pytest.raises(BrokenPipeError):
+            workers.serve(i, o)
+    assert len(scanned) == 1
+    assert rebuilt == [array] * 2
     assert all(type(row) is bytes for arr in rebuilt for row in arr.rows)
 
 
@@ -600,7 +607,7 @@ def test_check_combinatorial_reaps_its_workers_when_the_scan_raises(monkeypatch,
 
 
 def not_a_sudoku():
-    rows = [list(r) for r in fx.PAIR3_M1.rows]
+    rows = [list(r) for r in symbol_rows(fx.PAIR3_M1)]
     rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
     return fx.grid(3, rows)
 
