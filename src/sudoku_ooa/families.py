@@ -9,7 +9,7 @@ for a requested array parameter s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import combinations
 
 from .gf import find_generator, make_field
@@ -24,12 +24,11 @@ class SOutOfRange(ValueError):
     """No construction is available for the requested (q, s)."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A constructed family: the method that built it and its s-2 flag data."""
+class FamilySpec(namedtuple("FamilySpec", "method data")):
+    """A constructed family: the method that built it ("substrong" or "big")
+    and its s-2 flag data."""
 
-    method: str  # "substrong" | "big"
-    data: tuple[FlagData, ...]
+    __slots__ = ()
 
 
 # The substrong family's alpha: the smallest element outside {0, 1}.
@@ -117,7 +116,7 @@ def construct_family(q: int, s: int) -> FamilySpec:
         raise SOutOfRange(f"no construction for q = {q} reaches s = {s}; the largest is {largest}")
     if s <= 4:
         fam = substrong_family(q)
-        return replace(fam, data=fam.data[: s - 2])
+        return FamilySpec(fam.method, fam.data[: s - 2])
     return big_family(q, select_S(q)[: s - 2])
 
 

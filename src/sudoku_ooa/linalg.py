@@ -9,7 +9,7 @@ nullspace functionals): no subspace is enumerated element by element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .gf import Field
 
@@ -97,12 +97,10 @@ def nullspace(field: Field, rows, ncols: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace of F^4 in canonical (RREF) basis form."""
+class Subspace(namedtuple("Subspace", "field basis")):
+    """Subspace of F^4 in canonical (RREF) basis form: a field and a tuple of Vec4."""
 
-    field: Field
-    basis: tuple[Vec4, ...]
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

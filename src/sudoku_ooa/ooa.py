@@ -5,9 +5,12 @@ grid location in lexicographic order.  The first two bands carry the location
 digits and every further band the radix and units digits of one grid's
 symbols.  A row is stored as bytes, one byte per entry, however the array is
 built: by ``assemble``, by the array parser or in a scan worker.
-Verification checks the exactly-once condition on every 4-row top-justified
-set (mode ``ooa``) or only on those whose bands past the second contribute 0
-or 2 rows (mode ``sa``).
+``BandedArray`` and ``VerifyResult`` are named tuples, as every value type of
+the package is: ``dataclasses`` and the modules it imports would add several
+ms to the start of every process, scan workers included.  Verification
+checks the exactly-once condition on every 4-row top-justified set (mode
+``ooa``) or only on those whose bands past the second contribute 0 or 2 rows
+(mode ``sa``).
 
 Verification works on packed rows: each row is one integer with a fixed-width
 slot per column, so a row set's q^4 tuple keys come out of a few big-integer
@@ -29,8 +32,8 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import namedtuple
 from contextlib import closing
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .sudoku import DimensionMismatch, first_repeat
@@ -44,11 +47,12 @@ RowSet = frozenset  # of (band, depth) labels, both 1-based
 MAX_ENTRIES = 2**24
 
 # Key tuples (row sets x q^4 columns) this process scans while one worker
-# starts: a worker's first reply byte comes 37-42 ms after its start, and a
-# tuple takes 34-40 ns (q = 13, median of 15 starts, a shared 2-CPU VM).  It
-# sets both how many processes a scan uses and where their blocks begin (see
-# _bounds), so a split pays from q = 11 up.
-WORKER_START = 2**20
+# starts: a worker's first reply byte comes 23-38 ms after its start, and a
+# tuple takes 42-53 ns (q = 13, medians of 15 starts in five runs, a shared
+# 2-CPU VM), so their product is 2^18.8 to 2^19.6 tuples.  It sets both how
+# many processes a scan uses and where their blocks begin (see _bounds), so
+# a split pays from q = 11 up.
+WORKER_START = 2**19
 MAX_WORKERS = 4  # each worker holds a copy of the packed array
 
 
@@ -92,8 +96,7 @@ def _slot(q: int) -> tuple[str, int]:
     return _SLOT_FORMATS[width], width
 
 
-@dataclass(frozen=True)
-class BandedArray:
+class BandedArray(namedtuple("BandedArray", "q s rows")):
     """2s x q^4 array over 0..q-1; row (band, depth) sits at 2(band-1)+depth-1.
 
     Rows may be given as any sequences of ints; each is stored as bytes, one
@@ -101,20 +104,17 @@ class BandedArray:
     only for q far below 256 (MAX_ENTRIES admits q <= 45).
     """
 
-    q: int
-    s: int
-    rows: tuple[bytes, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        q, s = self.q, self.s
+    def __new__(cls, q: int, s: int, rows):
         if q < 2 or s < 2:
             raise MalformedArray(f"need q >= 2 and s >= 2, got q={q}, s={s}")
-        if len(self.rows) != 2 * s:
-            raise MalformedArray(f"expected {2 * s} rows, got {len(self.rows)}")
+        if len(rows) != 2 * s:
+            raise MalformedArray(f"expected {2 * s} rows, got {len(rows)}")
         ncols = q**STRENGTH
         entries = bytes(range(min(q, 256)))  # deleted from a row, they leave its bad entries
-        rows = []
-        for r, row in enumerate(self.rows):
+        checked = []
+        for r, row in enumerate(rows):
             if len(row) != ncols:
                 raise MalformedArray(f"row {r}: expected {ncols} columns, got {len(row)}")
             try:
@@ -123,8 +123,12 @@ class BandedArray:
                 raise MalformedArray(f"row {r}: entry outside 0..{q - 1}") from None
             if row.translate(None, entries):
                 raise MalformedArray(f"row {r}: entry outside 0..{q - 1}")
-            rows.append(row)
-        object.__setattr__(self, "rows", tuple(rows))
+            checked.append(row)
+        return super().__new__(cls, q, s, tuple(checked))
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks too
+        return cls(*iterable)
 
     def row(self, band: int, depth: int) -> bytes:
         return self.rows[2 * (band - 1) + (depth - 1)]
@@ -228,13 +232,17 @@ def classify(rowset) -> str:
     return _FORMS[(r, c, symbol_depths)]
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    row_set: RowSet | None = None
-    duplicate: tuple[int, int, int, int] | None = None
-    first_column: int | None = None
-    second_column: int | None = None
+class VerifyResult(
+    namedtuple(
+        "VerifyResult",
+        "ok row_set duplicate first_column second_column",
+        defaults=(None, None, None, None),
+    )
+):
+    """Verdict of ``verify``: ok, or the first failing set, its repeated
+    4-tuple and the two columns that carry it."""
+
+    __slots__ = ()
 
     def witness_text(self) -> str:
         if self.ok:
@@ -322,9 +330,8 @@ def scan(array: BandedArray, sets):
     started = []  # (process, stderr file) of each worker
     try:
         if len(blocks) > 1:
-            # Imported only for a split scan: it and what it uses (json,
-            # subprocess, tempfile) would add several ms to every start of
-            # the program.
+            # Imported only for a split scan: it and what it uses (subprocess,
+            # tempfile) would add several ms to every start of the program.
             from . import workers
 
             for block in blocks[1:]:

@@ -24,8 +24,8 @@ must agree verdict-for-verdict on families generated from flag data.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import closing
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .linalg import Subspace, det, intersect, mat_sub, subspace_from, trivial_intersection
@@ -66,19 +66,18 @@ def large_col_matrix(di: FlagData, dj: FlagData):
 # -- reports ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    label: str
-    indices: tuple[int, ...]
-    status: str  # "PASS" | "FAIL" | "N/A"
-    witness: str | None = None
+class ConditionResult(
+    namedtuple("ConditionResult", "label indices status witness", defaults=(None,))
+):
+    """One condition at one index tuple: status is "PASS", "FAIL" or "N/A"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(namedtuple("ConditionReport", "entries")):
     """Per-condition verdicts for one family, in deterministic label order."""
 
-    entries: tuple[ConditionResult, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -15,10 +15,10 @@ values are those digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .gf import Field
-from .linalg import Subspace, Vec4, functional_values, subspace_from
+from .linalg import Subspace, functional_values, subspace_from
 
 
 class DimensionMismatch(ValueError):
@@ -29,8 +29,7 @@ class InvalidFlagData(ValueError):
     """A flag datum violates b != 0, beta != 0, or det != 0."""
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(namedtuple("Grid", "q radix units")):
     """q^2 x q^2 grid as its symbols' radix and units digits, one byte per cell.
 
     Cell (r, c) sits at the packed location r*q^2 + c of both tables, which
@@ -39,19 +38,20 @@ class Grid:
     refused; the digits themselves are not checked.
     """
 
-    q: int
-    radix: bytes
-    units: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("radix", "units"):
-            table = getattr(self, name)
-            if not isinstance(table, bytes) or len(table) != self.q**4:
-                raise DimensionMismatch(f"{name} table must be bytes of q^4 = {self.q**4} cells")
+    def __new__(cls, q: int, radix: bytes, units: bytes):
+        for name, table in (("radix", radix), ("units", units)):
+            if not isinstance(table, bytes) or len(table) != q**4:
+                raise DimensionMismatch(f"{name} table must be bytes of q^4 = {q**4} cells")
+        return super().__new__(cls, q, radix, units)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(namedtuple("Flag", "field phi psi")):
     """Flag G < V (dim-2 symbol space in dim-3 radix space) as two functionals.
 
     ``phi`` spans V's annihilators and is 1 at its last nonzero coordinate j;
@@ -70,9 +70,7 @@ class Flag:
     radix digit is phi.  This holds for k > j and for k < j alike.
     """
 
-    field: Field
-    phi: Vec4
-    psi: Vec4
+    __slots__ = ()
 
 
 def datum_violation(field: Field, a: int, b: int, c: int, d: int, beta: int) -> str | None:
@@ -90,25 +88,23 @@ def datum_violation(field: Field, a: int, b: int, c: int, d: int, beta: int) -> 
     return None
 
 
-@dataclass(frozen=True)
-class FlagData:
+class FlagData(namedtuple("FlagData", "field a b c d beta")):
     """Validated datum (2x2 matrix entries a,b,c,d plus beta) of a flag."""
 
-    field: Field
-    a: int
-    b: int
-    c: int
-    d: int
-    beta: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        f = self.field
-        for x in (self.a, self.b, self.c, self.d, self.beta):
-            if not 0 <= x < f.q:
-                raise InvalidFlagData(f"entry {x} outside field of order {f.q}")
-        why = datum_violation(f, self.a, self.b, self.c, self.d, self.beta)
+    def __new__(cls, field: Field, a: int, b: int, c: int, d: int, beta: int):
+        for x in (a, b, c, d, beta):
+            if not 0 <= x < field.q:
+                raise InvalidFlagData(f"entry {x} outside field of order {field.q}")
+        why = datum_violation(field, a, b, c, d, beta)
         if why is not None:
             raise InvalidFlagData(why)
+        return super().__new__(cls, field, a, b, c, d, beta)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks too
+        return cls(*iterable)
 
     @property
     def gamma(self) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -4,13 +4,21 @@ A worker is a fresh interpreter, started with ``subprocess`` rather than a
 pool, so nothing outlives the call that started it.  It runs with ``-I -S``:
 no environment variables, no working directory or user site on its path,
 and no ``site`` module, whose ``.pth`` files may import anything.  It loads
-this package and ``json``; ``subprocess`` and ``tempfile``, which only the
-caller needs, are imported in ``start``.  Its stdin is an anonymous file
-holding a JSON header line, {"q", "s", "sets"}, then the array's 2s rows
-as the array stores them, q^4 bytes each.  It rebuilds the array
-from those bytes and scans its sets in order with ``ooa.duplicate_finder``,
-writing one verdict per set to its stdout pipe as it goes, then a newline.
-A verdict is ``0`` for a pass, or ``1`` and the hit's two columns as 4-byte
+this package and no more: ``subprocess`` and ``tempfile``, which only the
+caller needs, are imported in ``start``, and its header is binary, so it
+needs no ``json``.  It imports the whole package, not just ``ooa``: a ``-I``
+worker writes the bytecode cache even where ``PYTHONDONTWRITEBYTECODE`` is
+set, so every later start of the program finds its modules compiled.
+
+Its stdin is an anonymous file holding a header, then the array's 2s rows as
+the array stores them, q^4 bytes each.  The header is ``WIDTH``-byte
+little-endian integers: q, s, the number of sets, then each set's four
+(band, depth) labels in sorted order.  ``read_header`` checks every value
+before it sizes anything, and ``serve`` refuses a malformed input with one
+line on stderr and a non-zero exit.  The worker rebuilds the array from the
+rows and scans its sets in order with ``ooa.duplicate_finder``, writing one
+verdict per set to its stdout pipe as it goes, then a newline.  A verdict is
+``0`` for a pass, or ``1`` and the hit's two columns as ``WIDTH``-byte
 little-endian integers for a fail.  Only the caller holds the read end of
 that pipe, so once the caller is gone the worker's next verdict raises
 ``BrokenPipeError`` and it stops.  Its stderr is an anonymous file, so a
@@ -19,11 +27,11 @@ worker never waits for the caller to read it.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
-from .ooa import STRENGTH, BandedArray, duplicate_finder
+from .gf import MAX_ORDER
+from .ooa import STRENGTH, BandedArray, check_size, duplicate_finder
 
 # A fresh interpreter that imports this package from the directory this file
 # sits in (-I: no PYTHONPATH, no working directory on sys.path; -S: no site)
@@ -38,7 +46,7 @@ ARGV = (
     "from sudoku_ooa.workers import serve; serve(sys.stdin.buffer, sys.stdout.buffer)",
 )
 
-COLUMN = 4  # bytes of each column index a fail carries, little-endian
+WIDTH = 4  # bytes of every integer a worker reads or writes, little-endian
 
 
 def start(array: BandedArray, block):
@@ -51,10 +59,9 @@ def start(array: BandedArray, block):
     import subprocess
     import tempfile
 
-    header = {"q": array.q, "s": array.s, "sets": [sorted(rs) for rs in block]}
     err = tempfile.TemporaryFile()
     with tempfile.TemporaryFile() as inp:
-        inp.write(json.dumps(header).encode() + b"\n")
+        inp.write(header(array.q, array.s, block))
         for row in array.rows:
             inp.write(row)
         inp.seek(0)
@@ -83,7 +90,7 @@ def hits(worker, block, array: BandedArray):
     for rowset in block:
         verdict = proc.stdout.read(1)
         if verdict == b"1":
-            verdict += proc.stdout.read(2 * COLUMN)
+            verdict += proc.stdout.read(2 * WIDTH)
         reply += verdict
         hit = _named_hit(array, rowset, verdict[1:]) if verdict[:1] == b"1" else None
         if hit is None and verdict != b"0":
@@ -104,10 +111,10 @@ def hits(worker, block, array: BandedArray):
 
 def _named_hit(array: BandedArray, rowset, columns: bytes):
     """The hit at the two columns a ``1`` names, or None unless its set repeats a tuple there."""
-    if len(columns) != 2 * COLUMN:
+    if len(columns) != 2 * WIDTH:
         return None
-    first = int.from_bytes(columns[:COLUMN], "little")
-    second = int.from_bytes(columns[COLUMN:], "little")
+    first = int.from_bytes(columns[:WIDTH], "little")
+    second = int.from_bytes(columns[WIDTH:], "little")
     if not first < second < array.q**STRENGTH:
         return None
     rows = [array.row(b, d) for b, d in sorted(rowset)]
@@ -116,18 +123,65 @@ def _named_hit(array: BandedArray, rowset, columns: bytes):
     return tuple(row[second] for row in rows), first, second
 
 
+def header(q: int, s: int, sets) -> bytes:
+    """The header of a worker's input: q, s, the set count and each set's sorted labels."""
+    ints = [q, s, len(sets), *(x for rs in sets for label in sorted(rs) for x in label)]
+    return b"".join(x.to_bytes(WIDTH, "little") for x in ints)
+
+
+def read_header(inp) -> tuple[int, int, list]:
+    """(q, s, sets) read off a header on `inp`, which is left at the first row.
+
+    Every value is checked before it sizes anything: q in 2..MAX_ORDER, s >= 2
+    and (q, s) within ``check_size``; the sets are read one at a time, so a
+    set count past the input costs no more than the input, and each label
+    must name a row of the array.  A short read or a bad value raises
+    ValueError.
+    """
+    q, s, count = _ints(_read(inp, 3 * WIDTH, "the header"))
+    if not (2 <= q <= MAX_ORDER and s >= 2):
+        raise ValueError(f"need 2 <= q <= {MAX_ORDER} and s >= 2, got q={q}, s={s}")
+    check_size(q, s)
+    sets = []
+    for _ in range(count):
+        labels = _ints(_read(inp, 2 * STRENGTH * WIDTH, "a set"))
+        rowset = frozenset(zip(labels[::2], labels[1::2]))
+        if not all(1 <= band <= s and depth in (1, 2) for band, depth in rowset):
+            raise ValueError(f"set {len(sets)}: a label names no row of the array")
+        sets.append(rowset)
+    return q, s, sets
+
+
+def _read(inp, size: int, what: str) -> bytes:
+    data = inp.read(size)
+    if len(data) != size:
+        raise ValueError(f"the input ends in {what}")
+    return data
+
+
+def _ints(data: bytes) -> list[int]:
+    return [int.from_bytes(data[i : i + WIDTH], "little") for i in range(0, len(data), WIDTH)]
+
+
 def serve(inp, out) -> None:
-    """A worker's body: read its block from `inp`, reply on `out`, a byte stream."""
-    header = json.loads(inp.readline())
-    q, s = header["q"], header["s"]
-    first_duplicate = duplicate_finder(
-        BandedArray(q, s, tuple(inp.read(q**STRENGTH) for _ in range(2 * s)))
-    )
-    for labels in header["sets"]:
-        hit = first_duplicate(frozenset(map(tuple, labels)))
+    """A worker's body: read its block from `inp`, reply on `out`, a byte stream.
+
+    A malformed input raises SystemExit with a one-line message, before any
+    verdict is written.
+    """
+    try:
+        q, s, sets = read_header(inp)
+        rows = tuple(_read(inp, q**STRENGTH, f"row {r}") for r in range(2 * s))
+        if inp.read(1):
+            raise ValueError("bytes past the last row")
+    except ValueError as e:
+        raise SystemExit(f"malformed worker input: {e}") from None
+    first_duplicate = duplicate_finder(BandedArray(q, s, rows))
+    for rowset in sets:
+        hit = first_duplicate(rowset)
         if hit is None:
             out.write(b"0")
         else:
-            out.write(b"1" + b"".join(c.to_bytes(COLUMN, "little") for c in hit[1:]))
+            out.write(b"1" + b"".join(c.to_bytes(WIDTH, "little") for c in hit[1:]))
         out.flush()
     out.write(b"\n")

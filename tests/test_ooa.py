@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
-import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -97,14 +95,21 @@ def test_assemble_errors():
 
 def test_assemble_reads_its_grids_one_at_a_time():
     # While the next grid is made, only the one read last may still be held,
-    # so `construct` never keeps every grid beside the array.
-    seen = []
+    # so `construct` never keeps every grid beside the array.  A grid is a
+    # tuple, which takes no weak reference, so a subclass counts its frees.
+    made, freed = [], []
+
+    class CountedGrid(Grid):
+        __slots__ = ()
+
+        def __del__(self):
+            freed.append(self.q)
 
     def grids():
         for _ in range(4):
-            assert all(ref() is None for ref in seen[:-1])
-            grid = Grid(3, fx.PAIR3_M1.radix, fx.PAIR3_M1.units)
-            seen.append(weakref.ref(grid))
+            assert len(freed) >= len(made) - 1
+            grid = CountedGrid(3, fx.PAIR3_M1.radix, fx.PAIR3_M1.units)
+            made.append(grid.q)
             yield grid
             del grid
 
@@ -141,14 +146,14 @@ def test_assemble_refuses_symbols_outside_the_grid_alphabet(q):
         for depth, which in enumerate(("radix", "units")):
             table = bytearray(getattr(grid, which))
             table[cell] = digit
-            bad = replace(grid, **{which: bytes(table)})
+            bad = grid._replace(**{which: bytes(table)})
             for grids, row in (([bad, grid], 4 + depth), ([grid, bad], 6 + depth)):
                 expected = rf"^row {row}: entry outside 0\.\.{q - 1}$"
                 with pytest.raises(MalformedArray, match=expected):
                     assemble(iter(grids))
     # A table one cell short never reaches assemble: the grid refuses it.
     with pytest.raises(DimensionMismatch, match=rf"units table must be bytes of q\^4 = {q**4}"):
-        replace(grid, units=grid.units[:-1])
+        grid._replace(units=grid.units[:-1])
 
 
 def test_top_justified_counts():

@@ -7,7 +7,6 @@ import itertools
 import random
 import re
 from contextlib import closing
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -229,7 +228,7 @@ def test_check_combinatorial_refuses_symbol_outside_alphabet(bad):
     # is built, so no check reads a bad entry.
     radix, units = bytearray(fx.PAIR3_M1.radix), bytearray(fx.PAIR3_M1.units)
     radix[4 * 9 + 7], units[4 * 9 + 7] = divmod(bad, 3)
-    grid = replace(fx.PAIR3_M1, radix=bytes(radix), units=bytes(units))
+    grid = fx.PAIR3_M1._replace(radix=bytes(radix), units=bytes(units))
     with pytest.raises(MalformedArray, match=r"^row 4: entry outside 0\.\.2$"):
         check_combinatorial(assemble([grid, fx.PAIR3_M2]))
 

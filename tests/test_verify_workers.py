@@ -14,14 +14,16 @@ must be the one-process report.  A worker replies one verdict per set,
 ``0``, or ``1`` and the two columns of the set's hit, then a newline;
 stand-in workers give malformed replies, exits and stderr floods, each of
 which must be an error naming what went wrong, after one pair per verdict
-the worker sent.  After every call, this process has no child left (checked
-where /proc lists children).
+the worker sent.  A worker's input is a binary header and the rows; a
+malformed one is refused at once, with one line and no verdict.  After every
+call, this process has no child left (checked where /proc lists children).
 """
 
 from __future__ import annotations
 
 import ast
 import glob
+import io
 import json
 import os
 import random
@@ -137,11 +139,11 @@ def delaying_worker(delays: dict[int, float], array: BandedArray, mode: str) -> 
     """Worker argv that sleeps delays[k] seconds before scanning block k."""
     sets = mode_sets(array.s, mode)
     bounds = block_bounds(len(sets))
-    by_first = {json.dumps(sorted(sets[bounds[k]])): seconds for k, seconds in delays.items()}
+    by_first = {repr(sorted(sets[bounds[k]])): seconds for k, seconds in delays.items()}
     code = (
-        f"import io, json, sys, time; sys.path.insert(0, {str(SRC)!r}); "
-        "from sudoku_ooa.workers import serve; data = sys.stdin.buffer.read(); "
-        "first = json.dumps(json.loads(data.split(b'\\n', 1)[0])['sets'][0]); "
+        f"import io, sys, time; sys.path.insert(0, {str(SRC)!r}); "
+        "from sudoku_ooa.workers import read_header, serve; data = sys.stdin.buffer.read(); "
+        "first = repr(sorted(read_header(io.BytesIO(data))[2][0])); "
         f"time.sleep({by_first!r}.get(first, 0)); "
         "serve(io.BytesIO(data), sys.stdout.buffer)"
     )
@@ -152,11 +154,11 @@ def garbling_worker(served, array: BandedArray, mode: str) -> tuple:
     """Worker argv that scans the blocks in `served` and replies PASS to the rest."""
     sets = mode_sets(array.s, mode)
     bounds = block_bounds(len(sets))
-    firsts = {json.dumps(sorted(sets[bounds[k]])) for k in served}
+    firsts = {repr(sorted(sets[bounds[k]])) for k in served}
     code = (
-        f"import io, json, sys; sys.path.insert(0, {str(SRC)!r}); "
-        "from sudoku_ooa.workers import serve; data = sys.stdin.buffer.read(); "
-        "first = json.dumps(json.loads(data.split(b'\\n', 1)[0])['sets'][0]); "
+        f"import io, sys; sys.path.insert(0, {str(SRC)!r}); "
+        "from sudoku_ooa.workers import read_header, serve; data = sys.stdin.buffer.read(); "
+        "first = repr(sorted(read_header(io.BytesIO(data))[2][0])); "
         f"serve(io.BytesIO(data), sys.stdout.buffer) if first in {firsts!r} else print('PASS')"
     )
     return (sys.executable, "-I", "-c", code)
@@ -266,8 +268,8 @@ def malformed(reply: bytes) -> str:
 # Stand-in workers.  FULL replies 0 to every set of its block, as a worker
 # does on a passing array.
 FULL = (
-    "import json, sys; n = len(json.loads(sys.stdin.buffer.readline())['sets']); "
-    "sys.stdout.write('0' * n + '\\n'); "
+    f"import sys; sys.path.insert(0, {str(SRC)!r}); from sudoku_ooa.workers import read_header; "
+    "n = len(read_header(sys.stdin.buffer)[2]); sys.stdout.write('0' * n + '\\n'); "
 )
 EXITED = "error: a row-set scan worker exited with code 3\n"
 
@@ -375,7 +377,7 @@ workers.serve(sys.stdin.buffer, sys.stdout.buffer)
 
 def fail(hit) -> bytes:
     """A worker's verdict on a failing set: ``1`` and the hit's two columns."""
-    return b"1" + b"".join(c.to_bytes(workers.COLUMN, "little") for c in hit[1:])
+    return b"1" + b"".join(c.to_bytes(workers.WIDTH, "little") for c in hit[1:])
 
 
 def test_reply_rules_hold_where_the_named_sets_fail(monkeypatch):
@@ -517,9 +519,8 @@ def test_split_pairs_are_the_one_process_pairs_on_check_combinatorial_sets(monke
 def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
     array = corrupted(family_array(3), [(1, 1)])
     sets = mode_sets(array.s, "ooa")
-    header = {"q": 3, "s": array.s, "sets": [sorted(rs) for rs in sets]}
     inp = tmp_path / "in"
-    inp.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(array.rows))
+    inp.write_bytes(workers.header(3, array.s, sets) + b"".join(array.rows))
     rebuilt, scanned = [], []
 
     def recording_finder(arr):
@@ -553,6 +554,90 @@ def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
     assert len(scanned) == 1
     assert rebuilt == [array] * 2
     assert all(type(row) is bytes for arr in rebuilt for row in arr.rows)
+
+
+def malformed_inputs() -> dict[str, tuple[bytes, str]]:
+    """Inputs for a worker on the q = 3, s = 4 array with one fault each, by
+    name, and the reason the worker gives for refusing each."""
+    array = family_array(3)
+    q, s, rows = array.q, array.s, array.rows
+    sets = top_justified_sets(s)
+    body = b"".join(rows)
+    head = workers.header(q, s, sets)
+
+    def with_count(count: int) -> bytes:
+        at = 2 * workers.WIDTH  # q and s come first
+        return head[:at] + count.to_bytes(workers.WIDTH, "little") + head[at + workers.WIDTH :]
+
+    old = json.dumps({"q": q, "s": s, "sets": [sorted(rs) for rs in sets]}).encode() + b"\n"
+    bounds = "need 2 <= q <= 256 and s >= 2"
+    return {
+        "json-header": (old + body, f"{bounds}, got q=577839739, s=741548090"),
+        "truncated-header": (head[:7], "the input ends in the header"),
+        "q=0": (workers.header(0, s, sets) + body, f"{bounds}, got q=0, s=4"),
+        "q=257": (workers.header(257, s, sets) + body, f"{bounds}, got q=257, s=4"),
+        "s=1": (workers.header(q, 1, sets) + body, f"{bounds}, got q=3, s=1"),
+        "s-over-budget": (
+            workers.header(q, 2**24, sets) + body, "a 2s x q^4 array is limited to 16777216 entries"
+        ),
+        "count-past-the-input": (with_count(len(sets) + 1), "the input ends in a set"),
+        "count-past-the-sets": (  # the rows read as labels
+            with_count(2**32 - 1) + body, "set 19: a label names no row of the array"
+        ),
+        "band-past-s": (
+            workers.header(q, s, [*sets[:3], {(1, 1), (2, 1), (3, 1), (5, 1)}]) + body,
+            "set 3: a label names no row of the array",
+        ),
+        "band-0": (
+            workers.header(q, s, [{(0, 1), (2, 1), (3, 1), (4, 1)}]) + body,
+            "set 0: a label names no row of the array",
+        ),
+        "depth-3": (
+            workers.header(q, s, [{(1, 1), (1, 2), (2, 1), (2, 3)}]) + body,
+            "set 0: a label names no row of the array",
+        ),
+        "short-row": (head + body[:-1], "the input ends in row 7"),
+        "past-the-last-row": (head + body + b"\0", "bytes past the last row"),
+    }
+
+
+MALFORMED = malformed_inputs()
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_worker_refuses_a_malformed_input_at_once(name):
+    # Every value is checked before it sizes anything: read unchecked, the
+    # JSON header gives q = 577839739, and the worker would try to build an
+    # array of that order.
+    data, reason = MALFORMED[name]
+    out = io.BytesIO()
+    began = time.monotonic()
+    with pytest.raises(SystemExit) as refused:
+        workers.serve(io.BytesIO(data), out)
+    assert time.monotonic() - began < 1
+    assert refused.value.code == f"malformed worker input: {reason}"
+    assert out.getvalue() == b""
+
+
+def test_worker_process_refuses_a_malformed_input_with_one_line():
+    data, reason = MALFORMED["json-header"]
+    done = subprocess.run(workers.ARGV, input=data, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, b"", f"malformed worker input: {reason}\n".encode()
+    )
+
+
+def test_malformed_worker_input_is_an_error(tmp_path, monkeypatch, capsys):
+    # The worker's header is cut short of its first set: a forced split verify
+    # gives exit 2 and the worker's one line.
+    code = (
+        f"import io, sys; sys.path.insert(0, {str(SRC)!r}); from sudoku_ooa.workers import serve; "
+        f"serve(io.BytesIO(sys.stdin.buffer.read(3 * {workers.WIDTH} + 1)), sys.stdout.buffer)"
+    )
+    assert run_with_worker(tmp_path, monkeypatch, capsys, code, None) == (
+        2, "", "error: a row-set scan worker exited with code 1: "
+        "malformed worker input: the input ends in a set\n"
+    )
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
@@ -631,14 +716,14 @@ def test_check_combinatorial_leaves_no_worker_when_the_family_is_refused(
 
 def test_worker_count_threshold(monkeypatch):
     # The block bounds of the benchmarked scans on 2 CPUs: one block per
-    # 2^20 key tuples, and the calling process leads by 2^20 // q^4 sets.
-    monkeypatch.setattr(ooa, "WORKER_START", 2**20)
+    # 2^19 key tuples, and the calling process leads by 2^19 // q^4 sets.
+    assert ooa.WORKER_START == 2**19
     monkeypatch.setattr(ooa, "_cpus", lambda: 2)
     table = {
-        (615, 16): [0, 316, 615],  # ooa, 40.3 M tuples, lead 16
-        (266, 13): [0, 151, 266],  # ooa, 7.6 M, lead 36
-        (161, 11): [0, 116, 161],  # ooa, 2.4 M, lead 71
-        (53, 16): [0, 35, 53],  # sa, 3.5 M, lead 16
+        (615, 16): [0, 312, 615],  # ooa, 40.3 M tuples, lead 8
+        (266, 13): [0, 142, 266],  # ooa, 7.6 M, lead 18
+        (161, 11): [0, 98, 161],  # ooa, 2.4 M, lead 35
+        (53, 16): [0, 31, 53],  # sa, 3.5 M, lead 8
         (34, 13): [0, 34],  # sa, 0.97 M
         (26, 11): [0, 26],  # sa
         (90, 9): [0, 90],  # ooa, 0.59 M
@@ -650,7 +735,7 @@ def test_worker_count_threshold(monkeypatch):
         assert ooa._worker_count(sets, q) == len(bounds) - 1
     monkeypatch.setattr(ooa, "_cpus", lambda: 64)
     assert ooa._worker_count(615, 16) == ooa.MAX_WORKERS <= 8
-    assert ooa._bounds(615, 16) == [0, 168, 317, 466, 615]
+    assert ooa._bounds(615, 16) == [0, 162, 313, 464, 615]
     monkeypatch.setattr(ooa, "_cpus", lambda: 1)
     assert ooa._worker_count(615, 16) == 1
     assert ooa._bounds(615, 16) == [0, 615]
@@ -665,34 +750,51 @@ def test_cpus_without_an_affinity_call(monkeypatch):
     assert ooa._cpus() == 1
 
 
+def loaded_modules(argv, imports: str) -> set[str]:
+    """The modules in sys.modules after `imports`, run by `argv` (ending in -c)."""
+    code = f"{imports}; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run([*argv, code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    return set(done.stdout.split())
+
+
+# -S, since site may import tempfile on its own.
+CLI_IMPORTS = (
+    (sys.executable, "-I", "-S", "-c"),
+    f"import sys; sys.path.insert(0, {str(SRC)!r}); import sudoku_ooa.cli",
+)
+# All but the call of serve.
+WORKER_IMPORTS = (workers.ARGV[:-1], workers.ARGV[-1].rsplit(";", 1)[0])
+
+
 def test_cli_import_loads_no_worker_modules():
     # check-family's children spend most of their time starting up, so the
-    # worker module and what only it needs are imported when a scan splits.
-    # -S, since site may import tempfile on its own.
-    code = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r}); import sudoku_ooa.cli; "
-        "print(' '.join(sorted({'sudoku_ooa.workers', 'json', 'subprocess', 'tempfile'}"
-        " & set(sys.modules))))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+    # worker module and what only it needs are imported when a scan splits,
+    # and no module of the program imports dataclasses (with inspect, ast,
+    # dis and tokenize, about 8 ms of every start).
+    banned = {"sudoku_ooa.workers", "json", "subprocess", "tempfile", "dataclasses", "inspect"}
+    assert loaded_modules(*CLI_IMPORTS) & banned == set()
 
 
 def test_worker_loads_no_caller_modules():
     # A worker's start is paid on every split scan, so it runs without site
     # and imports only what serve needs; start imports the caller's modules.
+    # Its header is binary, so json, and the re that json imports, stay out.
     assert workers.ARGV[1:3] == ("-I", "-S")
-    imports = workers.ARGV[-1].rsplit(";", 1)[0]  # all but the call of serve
-    code = (
-        f"{imports}; print(' '.join(sorted({{'subprocess', 'tempfile', 'pathlib', 'site'}}"
-        " & set(sys.modules))))"
-    )
-    done = subprocess.run(
-        [sys.executable, *workers.ARGV[1:-1], code], capture_output=True, text=True, timeout=60
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+    banned = {"subprocess", "tempfile", "pathlib", "site", "dataclasses", "inspect", "json", "re"}
+    assert loaded_modules(*WORKER_IMPORTS) & banned == set()
+
+
+def test_worker_loads_every_package_module_the_cli_loads():
+    # A -I worker ignores PYTHONDONTWRITEBYTECODE, so where that is set for
+    # the CLI (as the benchmark sets it for its children), a worker is the
+    # process that writes the package's bytecode cache.  It must therefore
+    # import every module of the package that the CLI does, or each later CLI
+    # start would compile the missing ones again.
+    cli = {m for m in loaded_modules(*CLI_IMPORTS) if m.startswith("sudoku_ooa")}
+    worker = {m for m in loaded_modules(*WORKER_IMPORTS) if m.startswith("sudoku_ooa")}
+    assert "sudoku_ooa.ooa" in cli
+    assert cli - {"sudoku_ooa.cli"} <= worker
 
 
 def test_no_pool_modules_are_imported():
