@@ -1,8 +1,9 @@
 """Command-line front end: construct, verify, check-family, gen-sudoku, info.
 
 Exit codes: 0 on success/PASS, 1 on a verification FAIL, 2 on parse or
-domain errors, 130 on an interrupt (Ctrl-C).  All output is deterministic:
-identical invocations produce byte-identical files.
+domain errors and on running out of memory, 130 on an interrupt (Ctrl-C).
+All output is deterministic: identical invocations produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -174,6 +175,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

@@ -23,9 +23,10 @@ sets x q^4), the tuples this process scans while a worker starts, up to
 ``MAX_WORKERS`` and the CPUs, when that gives at least two: the calling
 process scans the first block and a worker process (``workers``) each
 further one, and the verdicts are the ones a single process gives.
-``check_size`` refuses arrays above the ``MAX_ENTRIES`` memory budget; the
-array parser and every command that builds an array call it before building
-anything.
+``check_size`` refuses arrays above the ``MAX_ENTRIES`` memory budget and
+band counts whose top-justified list exceeds ``MAX_SETS`` row sets; the
+array parser, every command that builds an array and a scan worker's input
+check call it before building anything.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ RowSet = frozenset  # of (band, depth) labels, both 1-based
 # Memory budget in array entries (2s*q^4).  It admits every guaranteed (q, s)
 # up to q = 27, whose max_s array has 15.9 M entries.
 MAX_ENTRIES = 2**24
+
+# Row-set budget.  A scan holds its whole top-justified list, C(s+3, 4) - s^2
+# sets (the multisets of 4 bands, less those using a band 3 or 4 times) of
+# about 450 bytes each: 7.3 MB at s = 24, 27.9 MB at s = 34.  The entry
+# budget alone admits s = 128 at q = 16 (11.7 M sets, about 5 GB) and
+# s = 524,288 at q = 2.  2^16 sets admits s <= 34, every guaranteed s up to
+# q = 64.
+MAX_SETS = MAX_ENTRIES // 2**8
 
 # Key tuples (row sets x q^4 columns) this process scans while one worker
 # starts: a worker's first reply byte comes 23-38 ms after its start, and a
@@ -69,17 +78,23 @@ class GridCountZero(ValueError):
 
 
 class ArrayTooLarge(ValueError):
-    """The requested array would exceed the MAX_ENTRIES memory budget."""
+    """The requested array would exceed the MAX_ENTRIES or MAX_SETS budget."""
 
 
 def check_size(q: int, s: int) -> None:
-    """Refuse a 2s x q^4 array above MAX_ENTRIES entries.
+    """Refuse a 2s x q^4 array above MAX_ENTRIES entries or MAX_SETS row sets.
 
-    q and s are compared with the budget before 2*s*q^4 is formed, and the
-    message names neither, so a header value of any length is refused cheaply.
+    q and s are compared with the entry budget before 2*s*q^4 is formed, and
+    its message names neither, so a header value of any length is refused
+    cheaply; only an s that passes it sizes the row-set count.
     """
     if q > MAX_ENTRIES or s > MAX_ENTRIES or 2 * s * q**STRENGTH > MAX_ENTRIES:
         raise ArrayTooLarge(f"a 2s x q^4 array is limited to {MAX_ENTRIES} entries")
+    sets = (s + 3) * (s + 2) * (s + 1) * s // 24 - s * s  # len(top_justified_sets(s))
+    if sets > MAX_SETS:
+        raise ArrayTooLarge(
+            f"s={s} gives {sets} top-justified row sets; a scan is limited to {MAX_SETS}"
+        )
 
 
 # memoryview formats of the native unsigned 1-, 2- and 4-byte integers.
@@ -360,24 +375,17 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(sets: int, q: int) -> int:
-    """Processes for a scan of `sets` row sets of q^4 columns.
-
-    One per WORKER_START key tuples, and no more than MAX_WORKERS, the CPUs
-    or the sets; a scan that would get fewer than two stays in one process.
-    """
-    w = min(MAX_WORKERS, _cpus(), sets, sets * q**STRENGTH // WORKER_START)
-    return w if w >= 2 else 1
-
-
 def _bounds(sets: int, q: int) -> list[int]:
-    """Bounds of the scan's contiguous blocks, the calling process's first.
+    """Bounds of the contiguous blocks of a scan of `sets` row sets of q^4 columns.
 
-    Each of the w - 1 workers takes (sets - lead) // w sets from the end,
-    where lead = WORKER_START // q^4 is the sets this process scans while a
-    worker starts, and this process keeps the rest: its block is longer by
-    the lead, and every process finishes at about the same time.
+    There are w blocks, one per WORKER_START key tuples and no more than
+    MAX_WORKERS, the CPUs or the sets; a scan that would get fewer than two
+    stays in one.  Each of the w - 1 workers takes (sets - lead) // w sets
+    from the end, where lead = WORKER_START // q^4 is the sets this process
+    scans while a worker starts, and this process keeps the rest, the first
+    block: it is longer by the lead, and every process finishes at about the
+    same time.
     """
-    w = _worker_count(sets, q)
+    w = max(1, min(MAX_WORKERS, _cpus(), sets, sets * q**STRENGTH // WORKER_START))
     per = (sets - WORKER_START // q**STRENGTH) // w
     return [0, *(sets - per * k for k in range(w - 1, 0, -1)), sets]

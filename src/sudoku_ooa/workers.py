@@ -13,16 +13,18 @@ set, so every later start of the program finds its modules compiled.
 Its stdin is an anonymous file holding a header, then the array's 2s rows as
 the array stores them, q^4 bytes each.  The header is ``WIDTH``-byte
 little-endian integers: q, s, the number of sets, then each set's four
-(band, depth) labels in sorted order.  ``read_header`` checks every value
-before it sizes anything, and ``serve`` refuses a malformed input with one
-line on stderr and a non-zero exit.  The worker rebuilds the array from the
-rows and scans its sets in order with ``ooa.duplicate_finder``, writing one
-verdict per set to its stdout pipe as it goes, then a newline.  A verdict is
-``0`` for a pass, or ``1`` and the hit's two columns as ``WIDTH``-byte
-little-endian integers for a fail.  Only the caller holds the read end of
-that pipe, so once the caller is gone the worker's next verdict raises
-``BrokenPipeError`` and it stops.  Its stderr is an anonymous file, so a
-worker never waits for the caller to read it.
+(band, depth) labels in sorted order.  So q, s and the set count fix the
+input's length, (3 + 8 count) WIDTH + 2s q^4 bytes, and ``read_input``
+checks those three values, then that one length, before it reads anything
+else.  ``serve`` refuses a malformed input with one line on stderr and a
+non-zero exit.  The worker rebuilds the array from the rows and scans its
+sets in order with ``ooa.duplicate_finder``, writing one verdict per set to
+its stdout pipe as it goes and nothing after the last: the set count fixes
+where the reply ends.  A verdict is ``0`` for a pass, or ``1`` and the hit's
+two columns as ``WIDTH``-byte little-endian integers for a fail.  Only the
+caller holds the read end of that pipe, so once the caller is gone the
+worker's next verdict raises ``BrokenPipeError`` and it stops.  Its stderr
+is an anonymous file, so a worker never waits for the caller to read it.
 """
 
 from __future__ import annotations
@@ -80,9 +82,9 @@ def hits(worker, block, array: BandedArray):
     read off `array`: the set's rows at the second column, and both columns.
     A reply is malformed unless it is one such verdict per set, each ``1``
     naming columns first < second < q^4 at which every row of its set
-    agrees, then a newline and nothing more.  At the first bad verdict, the
-    end of the reply included, no pair is yielded; then, or after the last
-    set, the reply is read to its end and the worker reaped.  A non-zero exit
+    agrees, and nothing after the last.  At the first bad verdict, the end
+    of the reply included, no pair is yielded; then, or after the last set,
+    the reply is read to its end and the worker reaped.  A non-zero exit
     then raises OSError, and a malformed reply ValueError.
     """
     proc, err = worker
@@ -98,7 +100,7 @@ def hits(worker, block, array: BandedArray):
             break
         yield rowset, hit
     else:
-        end = b"\n"
+        end = b""
     rest = proc.stdout.read()
     if proc.wait() != 0:
         err.seek(0)
@@ -113,8 +115,7 @@ def _named_hit(array: BandedArray, rowset, columns: bytes):
     """The hit at the two columns a ``1`` names, or None unless its set repeats a tuple there."""
     if len(columns) != 2 * WIDTH:
         return None
-    first = int.from_bytes(columns[:WIDTH], "little")
-    second = int.from_bytes(columns[WIDTH:], "little")
+    first, second = _ints(columns, 2)
     if not first < second < array.q**STRENGTH:
         return None
     rows = [array.row(b, d) for b, d in sorted(rowset)]
@@ -125,63 +126,57 @@ def _named_hit(array: BandedArray, rowset, columns: bytes):
 
 def header(q: int, s: int, sets) -> bytes:
     """The header of a worker's input: q, s, the set count and each set's sorted labels."""
-    ints = [q, s, len(sets), *(x for rs in sets for label in sorted(rs) for x in label)]
-    return b"".join(x.to_bytes(WIDTH, "little") for x in ints)
+    return _bytes([q, s, len(sets), *(x for rs in sets for label in sorted(rs) for x in label)])
 
 
-def read_header(inp) -> tuple[int, int, list]:
-    """(q, s, sets) read off a header on `inp`, which is left at the first row.
+def read_input(data: bytes) -> tuple[int, int, list, tuple]:
+    """(q, s, sets, rows) of a worker's whole input `data`.
 
     Every value is checked before it sizes anything: q in 2..MAX_ORDER, s >= 2
-    and (q, s) within ``check_size``; the sets are read one at a time, so a
-    set count past the input costs no more than the input, and each label
-    must name a row of the array.  A short read or a bad value raises
-    ValueError.
+    and (q, s) within ``check_size``.  Then `data` must be exactly the header
+    that its set count gives and 2s rows of q^4 bytes, and each label must
+    name a row of the array.  A bad value or length raises ValueError.
     """
-    q, s, count = _ints(_read(inp, 3 * WIDTH, "the header"))
+    q, s, count = _ints(data, 3)
     if not (2 <= q <= MAX_ORDER and s >= 2):
         raise ValueError(f"need 2 <= q <= {MAX_ORDER} and s >= 2, got q={q}, s={s}")
     check_size(q, s)
-    sets = []
-    for _ in range(count):
-        labels = _ints(_read(inp, 2 * STRENGTH * WIDTH, "a set"))
-        rowset = frozenset(zip(labels[::2], labels[1::2]))
-        if not all(1 <= band <= s and depth in (1, 2) for band, depth in rowset):
-            raise ValueError(f"set {len(sets)}: a label names no row of the array")
-        sets.append(rowset)
-    return q, s, sets
-
-
-def _read(inp, size: int, what: str) -> bytes:
-    data = inp.read(size)
+    ncols, at = q**STRENGTH, (3 + 2 * STRENGTH * count) * WIDTH
+    size = at + 2 * s * ncols
     if len(data) != size:
-        raise ValueError(f"the input ends in {what}")
-    return data
+        raise ValueError(f"q={q}, s={s} and {count} sets need {size} bytes, got {len(data)}")
+    labels = _ints(data[3 * WIDTH : at], 2 * STRENGTH * count)
+    pairs = list(zip(labels[::2], labels[1::2]))
+    sets = [frozenset(pairs[i : i + STRENGTH]) for i in range(0, len(pairs), STRENGTH)]
+    for k, rowset in enumerate(sets):
+        if not all(1 <= band <= s and depth in (1, 2) for band, depth in rowset):
+            raise ValueError(f"set {k}: a label names no row of the array")
+    return q, s, sets, tuple(data[at + r * ncols : at + (r + 1) * ncols] for r in range(2 * s))
 
 
-def _ints(data: bytes) -> list[int]:
-    return [int.from_bytes(data[i : i + WIDTH], "little") for i in range(0, len(data), WIDTH)]
+def _ints(data: bytes, n: int) -> list[int]:
+    """The first n integers of `data`, each 0 where `data` has ended."""
+    return [int.from_bytes(data[i * WIDTH : (i + 1) * WIDTH], "little") for i in range(n)]
+
+
+def _bytes(ints) -> bytes:
+    return b"".join(x.to_bytes(WIDTH, "little") for x in ints)
 
 
 def serve(inp, out) -> None:
     """A worker's body: read its block from `inp`, reply on `out`, a byte stream.
 
     A malformed input raises SystemExit with a one-line message, before any
-    verdict is written.
+    verdict is written.  The input's bytes are freed once its rows are cut
+    from them, before the scan starts.
     """
     try:
-        q, s, sets = read_header(inp)
-        rows = tuple(_read(inp, q**STRENGTH, f"row {r}") for r in range(2 * s))
-        if inp.read(1):
-            raise ValueError("bytes past the last row")
+        q, s, sets, rows = read_input(inp.read())
+        array = BandedArray(q, s, rows)
     except ValueError as e:
         raise SystemExit(f"malformed worker input: {e}") from None
-    first_duplicate = duplicate_finder(BandedArray(q, s, rows))
+    first_duplicate = duplicate_finder(array)
     for rowset in sets:
         hit = first_duplicate(rowset)
-        if hit is None:
-            out.write(b"0")
-        else:
-            out.write(b"1" + b"".join(c.to_bytes(WIDTH, "little") for c in hit[1:]))
+        out.write(b"0" if hit is None else b"1" + _bytes(hit[1:]))
         out.flush()
-    out.write(b"\n")

@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import hashlib
+import time
 
 import pytest
 
 import fixtures as fx
 from grid_oracle import is_sudoku
 from row_oracle import grid_from_text
-from sudoku_ooa import BandedArray, array_from_text, array_to_text, ooa, verify
+from sudoku_ooa import (
+    BandedArray,
+    array_from_text,
+    array_to_text,
+    construct_family,
+    flags_to_text,
+    ooa,
+    verify,
+)
 from sudoku_ooa.cli import main
 
 
@@ -368,6 +377,50 @@ def test_check_family_refuses_arrays_over_budget(tmp_path, capsys):
         assert stderr == f"error: {_BUDGET}\n"
     code, stdout, stderr = run(capsys, "check-family", str(flags), "--level", "algebraic")
     assert (code, stdout.splitlines()[-1], stderr) == (0, "PASS", "")
+
+
+_ROW_SETS_128 = "s=128 gives 11700256 top-justified row sets; a scan is limited to 65536"
+
+
+def test_check_family_refuses_a_row_set_list_over_budget(tmp_path, capsys):
+    # 126 members at q = 16 make a 2 x 128 x 16^4 array, exactly the entry
+    # budget, whose 11.7 M top-justified sets would take about 5 GB: both
+    # levels that build the array refuse it at once, before any grid.
+    flags = tmp_path / "flags.txt"
+    flags.write_text(flags_to_text(construct_family(16, 3).data * 126))
+    assert len(flags.read_text().splitlines()) == 127
+    for level in ("combinatorial", "exhaustive"):
+        began = time.monotonic()
+        code, stdout, stderr = run(capsys, "check-family", str(flags), "--level", level)
+        assert time.monotonic() - began < 1
+        assert (code, stdout, stderr) == (2, "", f"error: {_ROW_SETS_128}\n"), level
+
+
+def test_verify_refuses_a_row_set_list_over_budget_at_line_1(tmp_path, capsys):
+    # At q = 2 the entry budget admits s up to 524,288; the row-set budget
+    # stops it at s = 34, whatever the rows hold.
+    path = tmp_path / "a.txt"
+    path.write_text("ooa t=4 s=35 l=2 v=2\n" + ("0 " * 15 + "0\n") * 70)
+    began = time.monotonic()
+    got = run(capsys, "verify", str(path))
+    assert time.monotonic() - began < 1
+    assert got == (
+        2, "", "error: line 1: s=35 gives 72590 top-justified row sets; "
+        "a scan is limited to 65536\n"
+    )
+
+
+def test_out_of_memory_is_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # Exit 1 means a verification FAIL, so running out of memory must not
+    # reach Python's traceback and its exit 1.
+    path = tmp_path / "a.txt"
+    assert run(capsys, "construct", "--q", "3", "--s", "4", "--out", str(path))[0] == 0
+
+    def exhausted(s):
+        raise MemoryError
+
+    monkeypatch.setattr(ooa, "top_justified_sets", exhausted)
+    assert run(capsys, "verify", str(path)) == (2, "", "error: out of memory\n")
 
 
 def test_gen_sudoku_refuses_grids_over_budget(tmp_path, capsys):

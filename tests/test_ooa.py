@@ -27,7 +27,7 @@ from sudoku_ooa import (
     top_justified_sets,
     verify,
 )
-from sudoku_ooa.ooa import MAX_ENTRIES, check_size
+from sudoku_ooa.ooa import MAX_ENTRIES, MAX_SETS, check_size
 from sudoku_ooa.sudoku import FlagData
 
 
@@ -326,3 +326,22 @@ def test_size_budget_admits_every_guaranteed_order_up_to_27():
     for q, s in ((29, 16), (32, 9), (2, MAX_ENTRIES + 1), (MAX_ENTRIES + 1, 3)):
         with pytest.raises(ArrayTooLarge):
             check_size(q, s)
+
+
+def test_row_set_budget_admits_s_up_to_34():
+    # The entry budget alone admits s = 128 at q = 16 and s = 524,288 at
+    # q = 2; the row-set budget stops both at 34, with every guaranteed s
+    # and s = q + 1 at q = 23 inside it.
+    assert MAX_SETS == 2**16
+    assert len(top_justified_sets(34)) == 64889 <= MAX_SETS < len(top_justified_sets(35)) == 72590
+    check_size(23, 24)
+    for q in (2, 16):
+        check_size(q, 34)
+        # s = 128 is the largest s the entry budget admits at q = 16: about 5 GB of sets.
+        for s, sets in ((35, 72590), (128, 11700256)):
+            message = f"^s={s} gives {sets} top-justified row sets; a scan is limited to 65536$"
+            with pytest.raises(ArrayTooLarge, match=message):
+                check_size(q, s)
+    # An s past the entry budget is refused by it, before any set is counted.
+    with pytest.raises(ArrayTooLarge, match="entries$"):
+        check_size(2, 2 * MAX_ENTRIES)

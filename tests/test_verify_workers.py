@@ -11,12 +11,13 @@ block; workers of lower blocks are slowed down so that a later block's hit
 arrives first, and the earliest set must still win.  Failing families put the
 condition report's failing sets in two or three blocks, and the split report
 must be the one-process report.  A worker replies one verdict per set,
-``0``, or ``1`` and the two columns of the set's hit, then a newline;
-stand-in workers give malformed replies, exits and stderr floods, each of
-which must be an error naming what went wrong, after one pair per verdict
-the worker sent.  A worker's input is a binary header and the rows; a
-malformed one is refused at once, with one line and no verdict.  After every
-call, this process has no child left (checked where /proc lists children).
+``0``, or ``1`` and the two columns of the set's hit, and nothing after the
+last; stand-in workers give malformed replies, exits and stderr floods, each
+of which must be an error naming what went wrong, after one pair per verdict
+the worker sent.  A worker's input is a binary header and the rows, a length
+that q, s and the set count fix; a malformed one is refused at once, with
+one line and no verdict.  After every call, this process has no child left
+(checked where /proc lists children).
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ def delaying_worker(delays: dict[int, float], array: BandedArray, mode: str) -> 
     by_first = {repr(sorted(sets[bounds[k]])): seconds for k, seconds in delays.items()}
     code = (
         f"import io, sys, time; sys.path.insert(0, {str(SRC)!r}); "
-        "from sudoku_ooa.workers import read_header, serve; data = sys.stdin.buffer.read(); "
-        "first = repr(sorted(read_header(io.BytesIO(data))[2][0])); "
+        "from sudoku_ooa.workers import read_input, serve; data = sys.stdin.buffer.read(); "
+        "first = repr(sorted(read_input(data)[2][0])); "
         f"time.sleep({by_first!r}.get(first, 0)); "
         "serve(io.BytesIO(data), sys.stdout.buffer)"
     )
@@ -157,8 +158,8 @@ def garbling_worker(served, array: BandedArray, mode: str) -> tuple:
     firsts = {repr(sorted(sets[bounds[k]])) for k in served}
     code = (
         f"import io, sys; sys.path.insert(0, {str(SRC)!r}); "
-        "from sudoku_ooa.workers import read_header, serve; data = sys.stdin.buffer.read(); "
-        "first = repr(sorted(read_header(io.BytesIO(data))[2][0])); "
+        "from sudoku_ooa.workers import read_input, serve; data = sys.stdin.buffer.read(); "
+        "first = repr(sorted(read_input(data)[2][0])); "
         f"serve(io.BytesIO(data), sys.stdout.buffer) if first in {firsts!r} else print('PASS')"
     )
     return (sys.executable, "-I", "-c", code)
@@ -268,8 +269,8 @@ def malformed(reply: bytes) -> str:
 # Stand-in workers.  FULL replies 0 to every set of its block, as a worker
 # does on a passing array.
 FULL = (
-    f"import sys; sys.path.insert(0, {str(SRC)!r}); from sudoku_ooa.workers import read_header; "
-    "n = len(read_header(sys.stdin.buffer)[2]); sys.stdout.write('0' * n + '\\n'); "
+    f"import sys; sys.path.insert(0, {str(SRC)!r}); from sudoku_ooa.workers import read_input; "
+    "n = len(read_input(sys.stdin.buffer.read())[2]); sys.stdout.write('0' * n); "
 )
 EXITED = "error: a row-set scan worker exited with code 3\n"
 
@@ -300,15 +301,15 @@ def run_with_worker(tmp_path, monkeypatch, capsys, code: str, level: str | None)
         ("print('PASS')", malformed(b"PASS\n")),
         ("print('1')", malformed(b"1\n")),  # no columns
         (  # set 10 passes: its rows differ at columns 0 and 1
-            "import sys; sys.stdout.write('1\\0\\0\\0\\0\\1\\0\\0\\0\\n')",
-            malformed(b"1\0\0\0\0\1\0\0\0\n"),
+            "import sys; sys.stdout.write('1\\0\\0\\0\\0\\1\\0\\0\\0')",
+            malformed(b"1\0\0\0\0\1\0\0\0"),
         ),
-        ("print('0')", malformed(b"0\n")),  # the block has 9 sets
-        (FULL + "sys.stdout.write('x')", malformed(b"0" * 9 + b"\nx")),
+        ("import sys; sys.stdout.write('0')", malformed(b"0")),  # the block has 9 sets
+        (FULL + "sys.stdout.write('x')", malformed(b"0" * 9 + b"x")),
         (FULL + "sys.exit(3)", EXITED),
     ],
     ids=[
-        "exit-3", "not-json", "no-columns", "set-passes", "short", "past-the-newline",
+        "exit-3", "not-json", "no-columns", "set-passes", "short", "past-the-last-verdict",
         "exit-3-after-a-full-reply",
     ],
 )
@@ -400,16 +401,16 @@ def test_reply_rules_hold_where_the_named_sets_fail(monkeypatch):
             err.close()
 
     one, three = fail(finder(block[0])), fail(finder(block[2]))
-    assert reply(one + b"0" + three + b"\n") == [
+    assert reply(one + b"0" + three) == [
         (block[0], finder(block[0])), (block[1], None), (block[2], finder(block[2]))
     ]
-    assert reply(b"000\n") == [(rs, None) for rs in block]
+    assert reply(b"000") == [(rs, None) for rs in block]
     bad = (
-        b"", b"\n", one + b"0", one + b"0" + three, one + b"0\n", one + b"0" + three + b"0\n",
-        one + b"0" + three + b"\n\n", one + b"0" + three + b"\nx", one + b"x" + three + b"\n",
-        b" " + one + b"0" + three + b"\n",
-        b"10" + three + b"\n",  # no columns
-        one[:5] + b"\n",  # one column
+        b"", b"\n", one + b"0", one + b"0\n", one + b"0" + three + b"0",
+        one + b"0" + three + b"\n", one + b"0" + three + b"x", one + b"x" + three,
+        b" " + one + b"0" + three,
+        b"10" + three,  # no columns
+        one[:5],  # one column
     )
     for data in bad:
         with pytest.raises(ValueError, match="malformed reply"):
@@ -425,7 +426,7 @@ def test_reply_rules_hold_where_the_named_sets_fail(monkeypatch):
     ]
     for a, b in named:
         with pytest.raises(ValueError, match="malformed reply"):
-            reply(fail((None, a, b)) + b"0" + three + b"\n")
+            reply(fail((None, a, b)) + b"0" + three)
 
 
 def pairs_then_error(pairs) -> tuple[list, str]:
@@ -541,7 +542,7 @@ def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
     out = tmp_path / "out"
     with inp.open("rb") as i, out.open("wb") as o:
         workers.serve(i, o)
-    assert out.read_bytes() == b"".join(verdicts) + b"\n"
+    assert out.read_bytes() == b"".join(verdicts)
     assert len(scanned) == len(sets)
     # Its caller gone, no process holds the read end of its stdout pipe: the
     # first verdict it writes raises, after one set.
@@ -558,7 +559,10 @@ def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
 
 def malformed_inputs() -> dict[str, tuple[bytes, str]]:
     """Inputs for a worker on the q = 3, s = 4 array with one fault each, by
-    name, and the reason the worker gives for refusing each."""
+    name, and the reason the worker gives for refusing each.  An input whose
+    header values pass is refused by its length unless it is exactly the
+    header of its set count, 3 + 8 count integers, and the 2s rows of q^4
+    bytes."""
     array = family_array(3)
     q, s, rows = array.q, array.s, array.rows
     sets = top_justified_sets(s)
@@ -569,21 +573,26 @@ def malformed_inputs() -> dict[str, tuple[bytes, str]]:
         at = 2 * workers.WIDTH  # q and s come first
         return head[:at] + count.to_bytes(workers.WIDTH, "little") + head[at + workers.WIDTH :]
 
+    def length(data: bytes, count: int = len(sets)) -> tuple[bytes, str]:
+        size = (3 + 8 * count) * workers.WIDTH + 2 * s * q**4
+        return data, f"q={q}, s={s} and {count} sets need {size} bytes, got {len(data)}"
+
+    past_q = bytearray(body)
+    past_q[3 * q**4 + 5] = q  # row 3, column 5
+
     old = json.dumps({"q": q, "s": s, "sets": [sorted(rs) for rs in sets]}).encode() + b"\n"
     bounds = "need 2 <= q <= 256 and s >= 2"
     return {
         "json-header": (old + body, f"{bounds}, got q=577839739, s=741548090"),
-        "truncated-header": (head[:7], "the input ends in the header"),
+        "truncated-header": length(head[:7], 0),  # s is 4 in its first 3 bytes, the count 0
         "q=0": (workers.header(0, s, sets) + body, f"{bounds}, got q=0, s=4"),
         "q=257": (workers.header(257, s, sets) + body, f"{bounds}, got q=257, s=4"),
         "s=1": (workers.header(q, 1, sets) + body, f"{bounds}, got q=3, s=1"),
         "s-over-budget": (
             workers.header(q, 2**24, sets) + body, "a 2s x q^4 array is limited to 16777216 entries"
         ),
-        "count-past-the-input": (with_count(len(sets) + 1), "the input ends in a set"),
-        "count-past-the-sets": (  # the rows read as labels
-            with_count(2**32 - 1) + body, "set 19: a label names no row of the array"
-        ),
+        "count-past-the-input": length(with_count(len(sets) + 1), len(sets) + 1),
+        "count-past-the-sets": length(with_count(2**32 - 1) + body, 2**32 - 1),
         "band-past-s": (
             workers.header(q, s, [*sets[:3], {(1, 1), (2, 1), (3, 1), (5, 1)}]) + body,
             "set 3: a label names no row of the array",
@@ -596,8 +605,13 @@ def malformed_inputs() -> dict[str, tuple[bytes, str]]:
             workers.header(q, s, [{(1, 1), (1, 2), (2, 1), (2, 3)}]) + body,
             "set 0: a label names no row of the array",
         ),
-        "short-row": (head + body[:-1], "the input ends in row 7"),
-        "past-the-last-row": (head + body + b"\0", "bytes past the last row"),
+        "short-row": length(head + body[:-1]),
+        "past-the-last-row": length(head + body + b"\0"),
+        "entry-past-q": (head + past_q, "row 3: entry outside 0..2"),
+        "s-over-the-row-set-budget": (
+            workers.header(q, 35, sets) + body,
+            "s=35 gives 72590 top-justified row sets; a scan is limited to 65536",
+        ),
     }
 
 
@@ -620,15 +634,18 @@ def test_worker_refuses_a_malformed_input_at_once(name):
 
 
 def test_worker_process_refuses_a_malformed_input_with_one_line():
-    data, reason = MALFORMED["json-header"]
-    done = subprocess.run(workers.ARGV, input=data, capture_output=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (
-        1, b"", f"malformed worker input: {reason}\n".encode()
-    )
+    # An entry past q is refused as the header's values are, not with a
+    # traceback from building the array.
+    for name in ("json-header", "entry-past-q"):
+        data, reason = MALFORMED[name]
+        done = subprocess.run(workers.ARGV, input=data, capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, b"", f"malformed worker input: {reason}\n".encode()
+        ), name
 
 
 def test_malformed_worker_input_is_an_error(tmp_path, monkeypatch, capsys):
-    # The worker's header is cut short of its first set: a forced split verify
+    # The worker's input is cut short in its first set: a forced split verify
     # gives exit 2 and the worker's one line.
     code = (
         f"import io, sys; sys.path.insert(0, {str(SRC)!r}); from sudoku_ooa.workers import serve; "
@@ -636,7 +653,7 @@ def test_malformed_worker_input_is_an_error(tmp_path, monkeypatch, capsys):
     )
     assert run_with_worker(tmp_path, monkeypatch, capsys, code, None) == (
         2, "", "error: a row-set scan worker exited with code 1: "
-        "malformed worker input: the input ends in a set\n"
+        "malformed worker input: q=3, s=4 and 9 sets need 948 bytes, got 13\n"
     )
 
 
@@ -732,12 +749,10 @@ def test_worker_count_threshold(monkeypatch):
     }
     for (sets, q), bounds in table.items():
         assert ooa._bounds(sets, q) == bounds, (sets, q)
-        assert ooa._worker_count(sets, q) == len(bounds) - 1
     monkeypatch.setattr(ooa, "_cpus", lambda: 64)
-    assert ooa._worker_count(615, 16) == ooa.MAX_WORKERS <= 8
     assert ooa._bounds(615, 16) == [0, 162, 313, 464, 615]
+    assert len(ooa._bounds(615, 16)) - 1 == ooa.MAX_WORKERS <= 8
     monkeypatch.setattr(ooa, "_cpus", lambda: 1)
-    assert ooa._worker_count(615, 16) == 1
     assert ooa._bounds(615, 16) == [0, 615]
 
 
