@@ -4,7 +4,9 @@ All numbers are decimal canonical field indices.  Every format starts with a
 single header line naming the kind and its parameters.  Flags and arrays are
 written and read; grids are only written.  This module owns the text: it
 decodes a file's bytes, splits the text into lines once, and numbers the
-lines for every parse error.
+lines for every parse error.  An array row is printed, and a line printed
+that way is read, by a few whole-row byte-table and integer operations; any
+other array line goes to the full reader, ``_int_row``.
 """
 
 from __future__ import annotations
@@ -76,41 +78,22 @@ def _header_fields(
     return out
 
 
-def _spellings(bound: int) -> dict[str, int]:
-    """Each of 0..bound-1 by its canonical decimal spelling, for ``_int_row``."""
-    return {str(x): x for x in range(bound)}
-
-
 def _int_row(
-    line: str, lineno: int, expected: int, spellings: dict[str, int] | None = None
+    line: str, lineno: int, expected: int, bound: int | None = None
 ) -> tuple[int, ...]:
     """The line's integers: exactly ``expected`` of them, and each in
-    0..bound-1 when ``spellings`` is ``_spellings(bound)``.
-
-    A line of canonical spellings alone is read by one table lookup per entry.
-    Any other line, whether it holds another spelling ``int`` takes (``007``,
-    ``-0``) or is malformed, is read by ``parse_ints`` and checked in full, so
-    what it gives or raises does not depend on the table.
+    0..bound-1 when a bound is given.  This is the full reader: it takes every
+    spelling ``parse_ints`` takes (``007``, ``-0``) and names the first fault.
     """
-    if spellings is not None:
-        try:
-            row = tuple(map(spellings.__getitem__, line.split()))
-        except KeyError:
-            pass
-        else:
-            if len(row) == expected:
-                return row
     try:
         row = parse_ints(line)
     except ValueError:
         raise ParseError(lineno, f"non-integer entry in {_quote(line)}") from None
     if len(row) != expected:
         raise ParseError(lineno, f"expected {expected} entries, got {len(row)}")
-    if spellings is not None:
-        bound = len(spellings)
-        if min(row) < 0 or max(row) >= bound:
-            bad = next(x for x in row if not 0 <= x < bound)
-            raise ParseError(lineno, f"entry {bad} outside 0..{bound - 1}")
+    if bound is not None and (min(row) < 0 or max(row) >= bound):
+        bad = next(x for x in row if not 0 <= x < bound)
+        raise ParseError(lineno, f"entry {bad} outside 0..{bound - 1}")
     return row
 
 
@@ -182,11 +165,59 @@ def flags_from_text(text: str) -> list[FlagData]:
     return out
 
 
+# An array row is printed as 3-byte cells, one per entry: its tens digit (NUL
+# below 10, deleted afterwards), its units digit, and a space.  A cell holds an
+# entry up to 99; MAX_ENTRIES admits q <= 45.
+_TENS = bytes(48 + v // 10 if v >= 10 else 0 for v in range(256))
+_UNITS = bytes(48 + v % 10 for v in range(256))
+# The reader's tables: 1 at a digit, else 0; a digit's value, else 0xFF.
+_DIGIT_FLAGS = bytes(48 <= c <= 57 for c in range(256))
+_DIGIT_VALUES = bytes(c - 48 if 48 <= c <= 57 else 0xFF for c in range(256))
+
+
+def _row_cells(ncols: int) -> bytearray:
+    """The reused cell buffer of a ``ncols``-entry row; its last byte is a newline."""
+    cells = bytearray(b" ") * (3 * ncols)
+    cells[-1] = 10
+    return cells
+
+
+def _row_text(row: bytes, cells: bytearray) -> bytes:
+    """The row's line, newline included, printed through ``cells``."""
+    cells[0::3] = row.translate(_TENS)
+    cells[1::3] = row.translate(_UNITS)
+    return cells.translate(None, b"\0")
+
+
+def _array_row(line: str, lineno: int, q: int, cells: bytearray) -> bytes:
+    """The line's q^4 entries, each below q, read a whole line at a time.
+
+    The line is read as big-endian integers of one byte per character.  A
+    digit followed by a digit is a tens digit: its value times ten is added to
+    the next byte, then it and every non-digit are deleted.  The result is
+    kept only if printing it gives back the line exactly.  Printing is
+    injective and canonical, so such a line reads as the full reader reads
+    it; every other line (``007``, ``-0``, a tab, a malformed one) goes to the
+    full reader, with its values, errors and line numbers.
+    """
+    text = line.encode("ascii", "replace")  # any other character never matches a print
+    digits = int.from_bytes(text.translate(_DIGIT_FLAGS), "big")
+    values = int.from_bytes(text.translate(_DIGIT_VALUES), "big")
+    tens = (digits & (digits << 8)) * 255
+    values += 10 * ((values & tens) >> 8)
+    row = (values | tens).to_bytes(len(text), "big").translate(None, b"\xff")
+    if len(row) == q**4 and not row.translate(None, bytes(range(q))):
+        printed = _row_text(row, cells)
+        if len(printed) == len(text) + 1 and printed.startswith(text):
+            return row
+    return bytes(_int_row(line, lineno, q**4, q))
+
+
 def array_to_text(array: BandedArray) -> str:
-    names = [str(x) for x in range(array.q)]  # every entry is below q
-    lines = [ARRAY_HEADER.format(s=array.s, q=array.q)]
-    lines.extend(" ".join(map(names.__getitem__, row)) for row in array.rows)
-    return "\n".join([*lines, ""])
+    cells = _row_cells(array.q**4)
+    lines = [ARRAY_HEADER.format(s=array.s, q=array.q) + "\n"]
+    lines.extend(_row_text(row, cells).decode() for row in array.rows)
+    return "".join(lines)
 
 
 def array_from_text(text: str) -> BandedArray:
@@ -202,7 +233,5 @@ def array_from_text(text: str) -> BandedArray:
     except ArrayTooLarge as exc:
         raise ParseError(1, str(exc)) from None
     body = _body_lines(lines, 2 * s, "array")
-    spellings = _spellings(q)
-    return BandedArray(
-        q, s, tuple(bytes(_int_row(ln, lineno, q**4, spellings)) for lineno, ln in body)
-    )
+    cells = _row_cells(q**4)
+    return BandedArray(q, s, tuple(_array_row(ln, lineno, q, cells) for lineno, ln in body))

@@ -1,8 +1,9 @@
 """Reference readers for the array and grid formats.
 
-``sudoku_ooa.files`` reads a line made only of canonical spellings (``0`` to
-``str(bound - 1)``) by table lookup, and hands every other line to its full
-reader.  This module keeps the full reading alone, independent of the lookup:
+``sudoku_ooa.files`` decodes an array line a whole row at a time, keeps the
+row only if printing it gives back the line, and hands every other line to
+its full reader.  This module keeps the full reading alone, independent of
+the decoder:
 each line is checked for decimal integers, split, converted by ``int``,
 counted and range-checked, with the messages the parsers raise.  Headers and
 line selection are shared with ``files``.

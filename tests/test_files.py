@@ -7,11 +7,13 @@ of ``sudoku_ooa.files``.
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import pytest
 
 import fixtures as fx
+import row_oracle
 from row_oracle import grid_from_text
 from sudoku_ooa import (
     BandedArray,
@@ -22,6 +24,7 @@ from sudoku_ooa import (
     array_to_text,
     assemble,
     construct_family,
+    files,
     flags_from_text,
     flags_to_text,
     generate,
@@ -175,17 +178,63 @@ def test_parsers_split_the_text_once(parse, text):
     assert text.calls == 1
 
 
-def test_array_to_text_holds_its_text_once():
-    # The lines and the joined text are alive together; a second full copy of
-    # the text (as "\n".join(lines) + "\n" makes) would take the peak to 3x.
-    array = assemble(generate(d.flag()) for d in construct_family(9, 6).data)
+def _traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call."""
     tracemalloc.start()
     try:
-        text = array_to_text(array)
+        result = fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def _family_array(q, s):
+    return assemble(generate(d.flag()) for d in construct_family(q, s).data)
+
+
+def test_array_to_text_holds_its_text_once():
+    # The row lines and the joined text are alive together; a second full
+    # copy of the text (as "\n".join(lines) + "\n" makes) would take the peak
+    # to 3x.  q = 13 has two-digit cells.
+    for q in (9, 13):
+        text, peak = _traced_peak(array_to_text, _family_array(q, 6))
+        assert peak < 2.5 * len(text)
+
+
+@pytest.mark.parametrize("q", [9, 13])
+def test_array_from_text_holds_its_text_once(q):
+    # The text's lines, the rows and one line's decoding work are alive
+    # together; a second copy of the lines would take the peak past 2x.
+    text = array_to_text(_family_array(q, 6))
+    array, peak = _traced_peak(array_from_text, text)
+    assert array.q == q
     assert peak < 2.5 * len(text)
+
+
+def test_array_round_trip_with_tens_digits_above_1(monkeypatch):
+    # At q = 23 entries 20-22 have tens digit 2.  Each canonical line is read
+    # by the row decoder alone, and a line with other spellings by the full
+    # reader, with the same values as the reference reader.
+    q = 23
+    rng = random.Random(23)
+    array = BandedArray(q, 2, tuple(bytes(rng.choices(range(q), k=q**4)) for _ in range(4)))
+    assert max(array.rows[0]) == 22
+    text = array_to_text(array)
+    assert text == "".join(
+        ["ooa t=4 s=2 l=2 v=23\n", *(" ".join(map(str, row)) + "\n" for row in array.rows)]
+    )
+    assert row_oracle.array_from_text(text) == array
+    full_reader = files._int_row
+    calls = []
+    monkeypatch.setattr(files, "_int_row", lambda *a: calls.append(a[1]) or full_reader(*a))
+    assert array_from_text(text) == array
+    assert calls == []
+    lines = text.splitlines()
+    lines[3] = " ".join("0" + x for x in lines[3].split())  # 020, 07
+    respelled = "\n".join(lines) + "\n"
+    assert array_from_text(respelled) == array == row_oracle.array_from_text(respelled)
+    assert calls == [4]
 
 
 def test_grid_to_text_holds_no_symbol_table():
@@ -193,11 +242,6 @@ def test_grid_to_text_holds_no_symbol_table():
     # table of the q^4 symbols as ints, kept on the grid or built for the
     # whole grid, takes the peak near 10x at q = 27.
     grid = generate(construct_family(27, 3).data[0].flag())
-    tracemalloc.start()
-    try:
-        text = grid_to_text(grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    text, peak = _traced_peak(grid_to_text, grid)
     assert text.startswith("sudoku q=27\n") and len(text.splitlines()) == 1 + 27**2
     assert peak <= 3 * len(text)

@@ -2,10 +2,11 @@
 
 Each parser round-trips its own output.  A mutated text either parses or
 raises ParseError, and the CLI turns a ParseError into exit 2 with the same
-``line N:`` message, never a traceback.  The array reader, which reads
-canonical spellings by table lookup, agrees with the full reader of
-``row_oracle`` on texts with one token changed.  No command reads grids, so
-grid text is read by ``row_oracle.grid_from_text``, the reference reader.
+``line N:`` message, never a traceback.  The array reader, which decodes a
+line as the printer prints it a whole row at a time, agrees with the full
+reader of ``row_oracle`` on texts with one token or separator changed.  No
+command reads grids, so grid text is read by ``row_oracle.grid_from_text``,
+the reference reader.
 """
 
 from __future__ import annotations
@@ -162,8 +163,14 @@ def test_cli_exits_2_on_unparsable_input(tmp_path, capsys, command, kind):
 
 # One-token edits: spellings int() takes that are not canonical, spellings the
 # parsers refuse, entries out of range, a tab separator, and a token added or
-# removed.  "{q}" is the row bound, the array's order q.
-_TOKEN_EDITS = ["007", "-0", "+1", "1_0", "\u0661", "{q}", "-1", "256", "tab", "extra", "missing"]
+# removed.  "{q}" is the row bound, the array's order q.  Edits aimed at the
+# row decoder's digit pairing: two tokens merged, a token's digits split
+# apart, a doubled, leading or trailing space, and the bytes the decoder's
+# tables use as markers (NUL, and U+00FF as a character).
+_TOKEN_EDITS = [
+    "007", "-0", "+1", "1_0", "\u0661", "{q}", "-1", "256", "tab", "extra", "missing",
+    "merge", "split", "double space", "leading space", "trailing space", "\x00", "\u00ff",
+]
 
 
 def _random_array(rng, q):
@@ -173,23 +180,24 @@ def _random_array(rng, q):
 
 READERS = {
     # kind: (orders, random value, printer, reader, oracle)
-    "array": ([2, 3, 5, 11], _random_array, array_to_text, array_from_text,
+    "array": ([2, 3, 5, 11, 13], _random_array, array_to_text, array_from_text,
               row_oracle.array_from_text),
 }
 
 
-@st.composite
-def token_edited(draw, kind):
-    orders, build, to_text = READERS[kind][:3]
-    q = draw(st.sampled_from(orders))
-    lines = to_text(build(random.Random(draw(st.integers(0, 2**32))), q)).splitlines()
-    i = draw(st.integers(1, len(lines) - 1))
+def _edit_token(lines, i, j, edit, q):
+    """The text of ``lines`` with ``edit`` made at token j of line i."""
     tokens = lines[i].split(" ")
-    j = draw(st.integers(0, len(tokens) - 1))
-    edit = draw(st.sampled_from(_TOKEN_EDITS))
-    if edit == "tab":
+    if edit in ("tab", "merge"):
         j = min(j, len(tokens) - 2)
-        tokens[j : j + 2] = [tokens[j] + "\t" + tokens[j + 1]]
+        tokens[j : j + 2] = [tokens[j] + ("\t" if edit == "tab" else "") + tokens[j + 1]]
+    elif edit == "split":  # 12 -> 1 2, at the first token of two digits from j on
+        j = next((k for k in range(j, len(tokens)) if len(tokens[k]) > 1), j)
+        tokens[j] = " ".join(tokens[j])
+    elif edit == "double space":
+        tokens.insert(max(j, 1), "")
+    elif edit in ("leading space", "trailing space"):
+        tokens.insert(0 if edit == "leading space" else len(tokens), "")
     elif edit == "extra":
         tokens.insert(j, "0")
     elif edit == "missing":
@@ -198,22 +206,46 @@ def token_edited(draw, kind):
         tokens[j] = "00" + tokens[j]
     else:
         tokens[j] = edit.format(q=q)
-    lines[i] = " ".join(tokens)
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines[:i], " ".join(tokens), *lines[i + 1 :], ""])
+
+
+@st.composite
+def token_edited(draw, kind):
+    orders, build, to_text = READERS[kind][:3]
+    q = draw(st.sampled_from(orders))
+    lines = to_text(build(random.Random(draw(st.integers(0, 2**32))), q)).splitlines()
+    i = draw(st.integers(1, len(lines) - 1))
+    j = draw(st.integers(0, q**4 - 1))
+    return _edit_token(lines, i, j, draw(st.sampled_from(_TOKEN_EDITS)), q)
+
+
+def _assert_agrees(read, oracle, text):
+    got, want = _parse_outcome(read, text), _parse_outcome(oracle, text)
+    if isinstance(want, ParseError):
+        assert isinstance(got, ParseError)
+        assert (str(got), got.line) == (str(want), want.line)
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("kind", READERS)
-def test_table_reader_agrees_with_full_reader(kind):
+def test_row_decoder_agrees_with_full_reader(kind):
     read, oracle = READERS[kind][3:]
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(token_edited(kind))
     def check(text):
-        got, want = _parse_outcome(read, text), _parse_outcome(oracle, text)
-        if isinstance(want, ParseError):
-            assert isinstance(got, ParseError)
-            assert (str(got), got.line) == (str(want), want.line)
-        else:
-            assert got == want
+        _assert_agrees(read, oracle, text)
 
     check()
+
+
+@pytest.mark.parametrize("edit", _TOKEN_EDITS)
+def test_every_token_edit_agrees_with_full_reader(edit):
+    # Hypothesis draws some edits rarely; here each is made at every order.
+    orders, build, to_text, read, oracle = READERS["array"]
+    for q in orders:
+        rng = random.Random(f"{edit} {q}")
+        lines = to_text(build(rng, q)).splitlines()
+        i, j = rng.randrange(1, len(lines)), rng.randrange(q**4)
+        _assert_agrees(read, oracle, _edit_token(lines, i, j, edit, q))
