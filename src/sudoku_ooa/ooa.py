@@ -12,9 +12,16 @@ checks the exactly-once condition on every 4-row top-justified set (mode
 ``ooa``) or only on those whose bands past the second contribute 0 or 2 rows
 (mode ``sa``).
 
-Verification works on packed rows: each row is one integer with a fixed-width
-slot per column, so a row set's q^4 tuple keys come out of a few big-integer
-operations instead of a loop over columns.  One driver, ``scan``, runs every
+Verification first tries to certify a row set with 256-entry byte tables
+(``_certifier``, for q^2 <= 256): it splits the set's rows into two pairs,
+each a byte per column, and tests that the pairs are one-to-one together
+with ``bytes.maketrans`` and ``bytes.translate``, so no step makes a Python
+object per column.  A set it cannot certify goes to the packed-key scan,
+which decides the verdict and names the witness: each row is one integer
+with a fixed-width slot per column, so a row set's q^4 tuple keys come out of
+a few big-integer operations instead of a loop over columns.  On every array
+that ``assemble`` writes as an OOA, each set is certified, and the rows are
+never packed.  One driver, ``scan``, runs every
 scan: it yields each set with its verdict, in order, and its callers stop
 reading once they know enough, ``verify`` at the first failing set and
 ``strong.check_combinatorial`` when a precondition fails.  A scan is split
@@ -56,13 +63,13 @@ MAX_ENTRIES = 2**24
 MAX_SETS = MAX_ENTRIES // 2**8
 
 # Key tuples (row sets x q^4 columns) this process scans while one worker
-# starts: a worker's first reply byte comes 23-38 ms after its start, and a
-# tuple takes 42-53 ns (q = 13, medians of 15 starts in five runs, a shared
-# 2-CPU VM), so their product is 2^18.8 to 2^19.6 tuples.  It sets both how
-# many processes a scan uses and where their blocks begin (see _bounds), so
-# a split pays from q = 11 up.
-WORKER_START = 2**19
-MAX_WORKERS = 4  # each worker holds a copy of the packed array
+# starts: a worker's first reply byte comes 26-29 ms after its start, and a
+# tuple takes 10-13 ns (q = 13, medians of 15 starts and 15 scans in three
+# runs, a shared 2-CPU VM), so their quotient is 2^20.9 to 2^21.4 tuples.  It
+# sets both how many processes a scan uses and where their blocks begin (see
+# _bounds), so a split pays from q = 13 up.
+WORKER_START = 2**21
+MAX_WORKERS = 4  # each worker holds a copy of the array and its row integers
 
 
 class MalformedArray(ValueError):
@@ -277,23 +284,55 @@ def duplicate_finder(array: BandedArray):
     """Function from a row set to its first duplicated 4-tuple, or None.
 
     A hit is (tuple, col_a, col_b), the two columns that carry the tuple.
-    Each row is packed once into one integer holding entry m in slot m (see
-    _slot): the row's byte m sits at the low end of slot m in native byte
-    order.  Column m's key is ((a*q + b)*q + c)*q + d over the set's rows in
-    label order, and Horner's rule on the packed rows forms all q^4 keys at
-    once, one per slot; every key is below q^4, so no slot carries into the
-    next.
+    When n = q^2 <= 256, a set that the certificate below proves
+    exactly-once gives None at once.  Any other set goes to the packed-key
+    scan, which decides the verdict and names the witness.  Its rows are
+    packed the first time a set reaches it, so a scan where every set is
+    certified never packs them: at q = 16 they would take 2.8 MB.
+
+    The certificate (``_certifier``) makes no Python object per column.  It
+    splits the set's four rows into a pair P = (A, B) and a pair Q = (C, D)
+    (see _pivot) and reads each pair as the bytes row A*q + B, below n,
+    formed by one multiply-add on the rows read as big-endian integers:
+    every entry is below q, so no byte carries.  The set is exactly-once iff
+    (P, Q) is one-to-one over the q^4 columns.  Block r is columns
+    [r*n, (r+1)*n).  For each block, t = maketrans(P_r, 0..n-1) maps each
+    value to the last position in P_r that holds it, so P_r.translate(t) is
+    0..n-1 iff P is one-to-one on the block.  If it is on every block, then
+    P^-1(p) holds exactly one column per block, at position t[p] in block r,
+    and Z_r = t[:n].translate(Q_r) gathers Q there for each p.  So (P, Q) is
+    one-to-one iff, for every p, w = Z[p::n], the Q values over P^-1(p), has
+    no repeated byte, and w.translate(maketrans(w, 0..n-1)) is 0..n-1
+    exactly then: maketrans keeps the last position of each value, so a
+    repeat sends its earlier position elsewhere.  A set is certified only
+    when every test holds.  The choice of P never changes a verdict, only
+    whether a passing set is certified.  On a column order like
+    ``assemble``'s, where block r fixes band 1's two rows, P is one-to-one
+    on every block iff band 1 and P together are exactly-once; that set is
+    top-justified, so every set of an OOA that ``assemble`` writes is
+    certified.
+
+    The packed-key scan packs each row into one integer holding entry m in
+    slot m (see _slot): the row's byte m sits at the low end of slot m in
+    native byte order.  Column m's key is ((a*q + b)*q + c)*q + d over the
+    set's rows in label order, and Horner's rule on the packed rows forms all
+    q^4 keys at once, one per slot; every key is below q^4, so no slot
+    carries into the next.
     """
     q = array.q
     code, width = _slot(q)
-    low = 0 if sys.byteorder == "little" else width - 1
+    certified = _certifier(array) if q * q <= 256 else None
     packed = []
-    for row in array.rows:
-        slots = bytearray(len(row) * width)
-        slots[low::width] = row
-        packed.append(int.from_bytes(slots, sys.byteorder))
 
     def first_duplicate(rowset) -> tuple | None:
+        if certified is not None and certified(rowset):
+            return None
+        if not packed:
+            low = 0 if sys.byteorder == "little" else width - 1
+            for row in array.rows:
+                slots = bytearray(len(row) * width)
+                slots[low::width] = row
+                packed.append(int.from_bytes(slots, sys.byteorder))
         labels = sorted(rowset)
         key = 0
         for b, d in labels:
@@ -306,6 +345,72 @@ def duplicate_finder(array: BandedArray):
         return tuple(array.row(b, d)[second] for b, d in labels), first, second
 
     return first_duplicate
+
+
+def _certifier(array: BandedArray):
+    """Predicate true only on a row set proved exactly-once (see duplicate_finder).
+
+    Needs q^2 <= 256.  The tables of the last P are kept, since consecutive
+    sets often share their P.
+    """
+    q = array.q
+    n = q * q
+    ncols = n * n
+    ident = bytes(range(n))
+    pad = bytes(256 - n)  # makes a block of Q a 256-entry table
+    blocks = range(0, ncols, n)
+    strides = [slice(p, None, n) for p in range(n)]
+    ints = [int.from_bytes(row, "big") for row in array.rows]
+    last = [None, None]  # the last P's labels and its tables, or None
+
+    def pair(a, b) -> bytes:
+        a, b = (ints[2 * (band - 1) + (depth - 1)] for band, depth in (a, b))
+        return (a * q + b).to_bytes(ncols, "big")
+
+    def tables(labels) -> list | None:
+        """Each block's table p -> position of P = p, or None unless P is one-to-one."""
+        keys, found = pair(*labels), []
+        for lo in blocks:
+            block = keys[lo : lo + n]
+            t = bytes.maketrans(block, ident)
+            if block.translate(t) != ident:
+                return None
+            found.append(t[:n])
+        return found
+
+    def certified(rowset) -> bool:
+        labels = _pivot(rowset)
+        if labels is None:
+            return False
+        if labels != last[0]:
+            last[:] = labels, tables(labels)
+        inverse = last[1]
+        if inverse is None:
+            return False
+        other = pair(*sorted(x for x in rowset if x not in labels))
+        z = b"".join([t.translate(other[lo : lo + n] + pad) for t, lo in zip(inverse, blocks)])
+        for w in map(z.__getitem__, strides):
+            if w.translate(bytes.maketrans(w, ident)) != ident:
+                return False
+        return True
+
+    return certified
+
+
+def _pivot(rowset) -> tuple | None:
+    """The labels of P: a full band outside band 1, else two depth-1 rows outside it.
+
+    None for a set of other than 4 labels or one with neither.
+    """
+    if len(rowset) != STRENGTH:
+        return None
+    tops = sorted(b for b, d in rowset if b != 1 and d == 1)
+    full = [b for b in tops if (b, 2) in rowset]
+    if full:
+        return (full[0], 1), (full[0], 2)
+    if len(tops) >= 2:
+        return (tops[0], 1), (tops[1], 1)
+    return None
 
 
 def verify(array: BandedArray, mode: str = "ooa") -> VerifyResult:
@@ -351,9 +456,10 @@ def scan(array: BandedArray, sets):
 
             for block in blocks[1:]:
                 started.append(workers.start(array, block))
-        # Packed once per scan, not cached on the array: at q = 16 the packed
-        # rows take 2.6 MB, which a caller such as `construct` would otherwise
-        # keep alive while it writes the array out.
+        # One finder per scan, not cached on the array: at q = 16 its row
+        # integers take 1.4 MB, and its packed rows, once a set needs them,
+        # 2.8 MB, which a caller such as `construct` would otherwise keep
+        # alive while it writes the array out.
         first_duplicate = duplicate_finder(array)
         yield from ((rowset, first_duplicate(rowset)) for rowset in blocks[0])
         for worker, block in zip(started, blocks[1:]):

@@ -4,8 +4,17 @@ The reference is the straightforward loop: walk the cells of a block in
 order, remember where each key was first seen, and stop at the first key
 seen twice.  Witnesses must agree string for string on seeded single-cell
 corruptions, so the order of the scan is pinned as well as the verdict.
-The subjects are the packed row-set scanner of ``sudoku_ooa.ooa`` and the
-pair scanner of the grid oracle (``grid_oracle``).
+The subjects are the row-set scanner of ``sudoku_ooa.ooa`` and the pair
+scanner of the grid oracle (``grid_oracle``).
+
+The row-set scanner first tries a byte-table certificate (q^2 <= 256) and
+hands every set it does not certify to the packed-key scan.  Both paths are
+checked against the reference on every top-justified set: the certificate
+must never pass a set that the reference fails, on paper arrays, on seeded
+one-cell corruptions in every row, on copies whose columns are rotated by
+one, on random arrays and on a 3-label set.  With the packed-key scan made
+to raise, the paper's families must still verify and pass the
+combinatorial check, so the certificate cannot quietly stop applying.
 """
 
 from __future__ import annotations
@@ -29,13 +38,16 @@ from sudoku_ooa import (
     VerifyResult,
     are_orthogonal,
     assemble,
+    check_combinatorial,
     construct_family,
     duplicate_finder,
     generate,
+    ooa,
     top_justified_sets,
     verify,
 )
-from sudoku_ooa.ooa import _slot
+from sudoku_ooa.families import max_guaranteed_s
+from sudoku_ooa.ooa import _certifier, _slot
 from sudoku_ooa.sudoku import first_repeat
 
 ORDERS = (3, 4, 5)
@@ -101,11 +113,24 @@ def corrupt_cell(grid: Grid, rng: random.Random) -> Grid:
     return fx.grid(grid.q, rows)
 
 
-def corrupt_array(array: BandedArray, rng: random.Random) -> BandedArray:
+def corrupt_array(array: BandedArray, rng: random.Random, r=None) -> BandedArray:
+    """A copy with one cell of row r (a random row if None) changed."""
     rows = [list(row) for row in array.rows]
-    r, m = rng.randrange(len(rows)), rng.randrange(array.q**4)
+    r = rng.randrange(len(rows)) if r is None else r
+    m = rng.randrange(array.q**4)
     rows[r][m] = rng.choice([x for x in range(array.q) if x != rows[r][m]])
     return BandedArray(array.q, array.s, tuple(tuple(row) for row in rows))
+
+
+def paper_array(q, s=None):
+    """The array of the paper's family at s (max_s if None)."""
+    family = construct_family(q, s or max_guaranteed_s(q))
+    return assemble(generate(d.flag()) for d in family.data)
+
+
+def rotated(array: BandedArray) -> BandedArray:
+    """A copy whose column m is the array's column m + 1 (mod q^4)."""
+    return array._replace(rows=tuple(row[1:] + row[:1] for row in array.rows))
 
 
 # -- tests -----------------------------------------------------------------------
@@ -178,3 +203,65 @@ def test_packed_scan_at_slot_width_boundaries(q, width):
         assert want is not None
         assert duplicate_finder(broken)(rowset) == want
         assert verify(broken, "ooa") == VerifyResult(False, rowset, *want)
+
+
+def certificate_cases(q, s):
+    """(name, array) of the paper array at s, a one-cell corruption of each
+    of its rows, its column-rotated copy and a random array."""
+    rng = random.Random(400 + q)
+    array = paper_array(q, s)
+    yield "paper", array
+    for r in range(2 * s):
+        yield f"row {r} corrupted", corrupt_array(array, rng, r)
+    yield "rotated", rotated(array)
+    rows = tuple(bytes(rng.randrange(q) for _ in range(q**4)) for _ in range(2 * s))
+    yield "random", BandedArray(q, s, rows)
+
+
+# q = 16 is the largest order the certificate takes, q = 17 the first it
+# leaves to the packed-key scan; there the reference walks up to 83,521
+# columns a set, so those arrays have s = 3.
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 16, 17])
+def test_certificate_against_reference(monkeypatch, q):
+    s = min(4 if q < 16 else 3, max_guaranteed_s(q))
+    sets = top_justified_sets(s)
+    three = frozenset(sorted(sets[-1])[1:])
+    if q > 16:
+        monkeypatch.setattr(ooa, "_certifier", None)  # never called
+    certified_sets = {}
+    for name, array in certificate_cases(q, s):
+        first_duplicate = duplicate_finder(array)
+        certified = _certifier(array) if q <= 16 else lambda rowset: False
+        for rowset in [*sets, three]:
+            want = ref_duplicate(array, rowset)
+            assert first_duplicate(rowset) == want, (name, sorted(rowset))
+            if certified(rowset):
+                assert want is None, (name, sorted(rowset))
+                certified_sets[name] = certified_sets.get(name, 0) + 1
+        assert ref_duplicate(array, three) is not None
+    if q <= 16:
+        # Every set of a paper array is certified, the 3-label set never is,
+        # and each corruption fails the sets that hold its row.
+        assert certified_sets["paper"] == len(sets)
+        for r in range(2 * s):
+            assert certified_sets.get(f"row {r} corrupted", 0) < len(sets)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_paper_families_pass_without_the_packed_scan(monkeypatch, q):
+    # One process, so that no worker runs the real scan.
+    monkeypatch.setattr(ooa, "_cpus", lambda: 1)
+    array = paper_array(q)
+    rotated_array = rotated(array)
+    assert verify(rotated_array, "ooa") == VerifyResult(True)  # through the packed scan
+
+    def packed_scan(keys):
+        raise AssertionError("a set of a paper array reached the packed-key scan")
+
+    monkeypatch.setattr(ooa, "first_repeat", packed_scan)
+    for mode in ("ooa", "sa"):
+        assert verify(array, mode) == VerifyResult(True)
+    report = check_combinatorial(array)
+    assert {entry.status for entry in report.entries} <= {"PASS", "N/A"}
+    with pytest.raises(AssertionError, match="packed-key scan"):
+        verify(rotated_array, "ooa")

@@ -733,14 +733,14 @@ def test_check_combinatorial_leaves_no_worker_when_the_family_is_refused(
 
 def test_worker_count_threshold(monkeypatch):
     # The block bounds of the benchmarked scans on 2 CPUs: one block per
-    # 2^19 key tuples, and the calling process leads by 2^19 // q^4 sets.
-    assert ooa.WORKER_START == 2**19
+    # 2^21 key tuples, and the calling process leads by 2^21 // q^4 sets.
+    assert ooa.WORKER_START == 2**21
     monkeypatch.setattr(ooa, "_cpus", lambda: 2)
     table = {
-        (615, 16): [0, 312, 615],  # ooa, 40.3 M tuples, lead 8
-        (266, 13): [0, 142, 266],  # ooa, 7.6 M, lead 18
-        (161, 11): [0, 98, 161],  # ooa, 2.4 M, lead 35
-        (53, 16): [0, 31, 53],  # sa, 3.5 M, lead 8
+        (615, 16): [0, 324, 615],  # ooa, 40.3 M tuples, lead 32
+        (266, 13): [0, 170, 266],  # ooa, 7.6 M, lead 73
+        (161, 11): [0, 161],  # ooa, 2.4 M
+        (53, 16): [0, 53],  # sa, 3.5 M
         (34, 13): [0, 34],  # sa, 0.97 M
         (26, 11): [0, 26],  # sa
         (90, 9): [0, 90],  # ooa, 0.59 M
@@ -750,7 +750,7 @@ def test_worker_count_threshold(monkeypatch):
     for (sets, q), bounds in table.items():
         assert ooa._bounds(sets, q) == bounds, (sets, q)
     monkeypatch.setattr(ooa, "_cpus", lambda: 64)
-    assert ooa._bounds(615, 16) == [0, 162, 313, 464, 615]
+    assert ooa._bounds(615, 16) == [0, 180, 325, 470, 615]
     assert len(ooa._bounds(615, 16)) - 1 == ooa.MAX_WORKERS <= 8
     monkeypatch.setattr(ooa, "_cpus", lambda: 1)
     assert ooa._bounds(615, 16) == [0, 615]
