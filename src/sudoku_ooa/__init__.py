@@ -51,6 +51,7 @@ from .ooa import (
     assemble,
     classify,
     duplicate_finder,
+    row_indices,
     top_justified_sets,
     verify,
 )

@@ -10,7 +10,11 @@ the package is: ``dataclasses`` and the modules it imports would add several
 ms to the start of every process, scan workers included.  Verification
 checks the exactly-once condition on every 4-row top-justified set (mode
 ``ooa``) or only on those whose bands past the second contribute 0 or 2 rows
-(mode ``sa``).
+(mode ``sa``).  Row sets are (band, depth) labels wherever they are read:
+``top_justified_sets``, ``classify``, witnesses and ``VerifyResult``.  The
+scan works on row indices: ``row_indices``, the one place that maps a label
+to its row, turns each set into its sorted row indices once, and the
+scanner, its certificate and the scan workers read rows by index.
 
 Verification first tries to certify a row set with 256-entry byte tables
 (``_certifier``, for q^2 <= 256): it splits the set's rows into two pairs,
@@ -42,6 +46,7 @@ import os
 import sys
 from collections import namedtuple
 from contextlib import closing
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .sudoku import DimensionMismatch, first_repeat
@@ -104,22 +109,8 @@ def check_size(q: int, s: int) -> None:
         )
 
 
-# memoryview formats of the native unsigned 1-, 2- and 4-byte integers.
-_SLOT_FORMATS = {1: "B", 2: "H", 4: "I"}
-
-
-def _slot(q: int) -> tuple[str, int]:
-    """Format and width of the smallest slot that holds q^4 - 1.
-
-    Four bytes hold every key up to q = 256, and no array is larger: a q = 257
-    row would have 4.4e9 columns.
-    """
-    width = next(w for w in _SLOT_FORMATS if q**STRENGTH <= 256**w)
-    return _SLOT_FORMATS[width], width
-
-
 class BandedArray(namedtuple("BandedArray", "q s rows")):
-    """2s x q^4 array over 0..q-1; row (band, depth) sits at 2(band-1)+depth-1.
+    """2s x q^4 array over 0..q-1; ``row_indices`` gives the row of each (band, depth).
 
     Rows may be given as any sequences of ints; each is stored as bytes, one
     byte per entry.  An entry is below q, and a q^4-column row fits in memory
@@ -151,9 +142,6 @@ class BandedArray(namedtuple("BandedArray", "q s rows")):
     @classmethod
     def _make(cls, iterable):  # so _replace checks too
         return cls(*iterable)
-
-    def row(self, band: int, depth: int) -> bytes:
-        return self.rows[2 * (band - 1) + (depth - 1)]
 
 
 def assemble(grids) -> BandedArray:
@@ -210,6 +198,15 @@ def top_justified_sets(s: int) -> list[RowSet]:
         frozenset((band, 2 if i and bands[i - 1] == band else 1) for i, band in enumerate(bands))
         for bands in multisets
     ]
+
+
+def row_indices(rowset) -> tuple[int, ...]:
+    """The sorted indices of the rows that a set of (band, depth) labels names.
+
+    Label (band, depth) is row 2(band - 1) + depth - 1, so the indices come
+    in the order of the sorted labels.
+    """
+    return tuple(sorted(2 * (band - 1) + depth - 1 for band, depth in rowset))
 
 
 # Band-depth signatures (top-row-band depth, top-column-band depth, sorted
@@ -283,12 +280,14 @@ def repeat_text(rowset, duplicate, where: str) -> str:
 def duplicate_finder(array: BandedArray):
     """Function from a row set to its first duplicated 4-tuple, or None.
 
-    A hit is (tuple, col_a, col_b), the two columns that carry the tuple.
-    When n = q^2 <= 256, a set that the certificate below proves
-    exactly-once gives None at once.  Any other set goes to the packed-key
-    scan, which decides the verdict and names the witness.  Its rows are
-    packed the first time a set reaches it, so a scan where every set is
-    certified never packs them: at q = 16 they would take 2.8 MB.
+    The set is given as its sorted row indices (see ``row_indices``), and a
+    hit is (tuple, col_a, col_b): the set's entries at the two columns that
+    carry the tuple, in row order, and the columns.  When n = q^2 <= 256, a
+    set that the certificate below proves exactly-once gives None at once.
+    Any other set goes to the packed-key scan, which decides the verdict and
+    names the witness.  Its rows are packed the first time a set reaches it,
+    so a scan where every set is certified never packs them: at q = 16 they
+    would take 2.8 MB.
 
     The certificate (``_certifier``) makes no Python object per column.  It
     splits the set's four rows into a pair P = (A, B) and a pair Q = (C, D)
@@ -313,19 +312,21 @@ def duplicate_finder(array: BandedArray):
     certified.
 
     The packed-key scan packs each row into one integer holding entry m in
-    slot m (see _slot): the row's byte m sits at the low end of slot m in
-    native byte order.  Column m's key is ((a*q + b)*q + c)*q + d over the
-    set's rows in label order, and Horner's rule on the packed rows forms all
-    q^4 keys at once, one per slot; every key is below q^4, so no slot
-    carries into the next.
+    slot m: the row's byte m sits at the low end of slot m in native byte
+    order.  Column m's key is ((a*q + b)*q + c)*q + d over the set's rows in
+    index order, and Horner's rule on the packed rows forms all q^4 keys at
+    once, one per slot; every key is below q^4, so no slot carries into the
+    next.  The switch that gates the certificate sets the slot width: keys
+    fit 2 bytes up to q = 16 and 4 bytes up to q = 256, past which no array
+    fits in memory (a q = 257 row would have 4.4e9 columns).
     """
     q = array.q
-    code, width = _slot(q)
     certified = _certifier(array) if q * q <= 256 else None
+    code, width = ("H", 2) if certified else ("I", 4)  # native unsigned slots
     packed = []
 
-    def first_duplicate(rowset) -> tuple | None:
-        if certified is not None and certified(rowset):
+    def first_duplicate(rows) -> tuple | None:
+        if certified is not None and certified(rows):
             return None
         if not packed:
             low = 0 if sys.byteorder == "little" else width - 1
@@ -333,16 +334,15 @@ def duplicate_finder(array: BandedArray):
                 slots = bytearray(len(row) * width)
                 slots[low::width] = row
                 packed.append(int.from_bytes(slots, sys.byteorder))
-        labels = sorted(rowset)
         key = 0
-        for b, d in labels:
-            key = key * q + packed[2 * (b - 1) + (d - 1)]
+        for r in rows:
+            key = key * q + packed[r]
         keys = memoryview(key.to_bytes(q**STRENGTH * width, sys.byteorder)).cast(code)
         hit = first_repeat(keys.tolist())
         if hit is None:
             return None
         first, second = hit
-        return tuple(array.row(b, d)[second] for b, d in labels), first, second
+        return tuple(array.rows[r][second] for r in rows), first, second
 
     return first_duplicate
 
@@ -361,15 +361,14 @@ def _certifier(array: BandedArray):
     blocks = range(0, ncols, n)
     strides = [slice(p, None, n) for p in range(n)]
     ints = [int.from_bytes(row, "big") for row in array.rows]
-    last = [None, None]  # the last P's labels and its tables, or None
 
     def pair(a, b) -> bytes:
-        a, b = (ints[2 * (band - 1) + (depth - 1)] for band, depth in (a, b))
-        return (a * q + b).to_bytes(ncols, "big")
+        return (ints[a] * q + ints[b]).to_bytes(ncols, "big")
 
-    def tables(labels) -> list | None:
+    @lru_cache(maxsize=1)
+    def tables(p) -> list | None:
         """Each block's table p -> position of P = p, or None unless P is one-to-one."""
-        keys, found = pair(*labels), []
+        keys, found = pair(*p), []
         for lo in blocks:
             block = keys[lo : lo + n]
             t = bytes.maketrans(block, ident)
@@ -378,16 +377,12 @@ def _certifier(array: BandedArray):
             found.append(t[:n])
         return found
 
-    def certified(rowset) -> bool:
-        labels = _pivot(rowset)
-        if labels is None:
-            return False
-        if labels != last[0]:
-            last[:] = labels, tables(labels)
-        inverse = last[1]
+    def certified(rows) -> bool:
+        p = _pivot(rows)
+        inverse = None if p is None else tables(p)
         if inverse is None:
             return False
-        other = pair(*sorted(x for x in rowset if x not in labels))
+        other = pair(*(r for r in rows if r not in p))
         z = b"".join([t.translate(other[lo : lo + n] + pad) for t, lo in zip(inverse, blocks)])
         for w in map(z.__getitem__, strides):
             if w.translate(bytes.maketrans(w, ident)) != ident:
@@ -397,19 +392,20 @@ def _certifier(array: BandedArray):
     return certified
 
 
-def _pivot(rowset) -> tuple | None:
-    """The labels of P: a full band outside band 1, else two depth-1 rows outside it.
+def _pivot(rows) -> tuple | None:
+    """The rows of P: a full band outside band 1, else two depth-1 rows outside it.
 
-    None for a set of other than 4 labels or one with neither.
+    Band 1 is rows 0 and 1, and a band's depth-1 row is its even one.  None
+    for a set of other than 4 rows or one with neither.
     """
-    if len(rowset) != STRENGTH:
+    if len(rows) != STRENGTH:
         return None
-    tops = sorted(b for b, d in rowset if b != 1 and d == 1)
-    full = [b for b in tops if (b, 2) in rowset]
+    tops = [r for r in rows if r > 1 and r % 2 == 0]
+    full = [r for r in tops if r + 1 in rows]
     if full:
-        return (full[0], 1), (full[0], 2)
+        return full[0], full[0] + 1
     if len(tops) >= 2:
-        return (tops[0], 1), (tops[1], 1)
+        return tops[0], tops[1]
     return None
 
 
@@ -461,7 +457,7 @@ def scan(array: BandedArray, sets):
         # 2.8 MB, which a caller such as `construct` would otherwise keep
         # alive while it writes the array out.
         first_duplicate = duplicate_finder(array)
-        yield from ((rowset, first_duplicate(rowset)) for rowset in blocks[0])
+        yield from ((rowset, first_duplicate(row_indices(rowset))) for rowset in blocks[0])
         for worker, block in zip(started, blocks[1:]):
             yield from workers.hits(worker, block, array)
     finally:

@@ -11,10 +11,10 @@ worker writes the bytecode cache even where ``PYTHONDONTWRITEBYTECODE`` is
 set, so every later start of the program finds its modules compiled.
 
 Its stdin is an anonymous file holding a header, then the array's 2s rows as
-the array stores them, q^4 bytes each.  The header is ``WIDTH``-byte
-little-endian integers: q, s, the number of sets, then each set's four
-(band, depth) labels in sorted order.  So q, s and the set count fix the
-input's length, (3 + 8 count) WIDTH + 2s q^4 bytes, and ``read_input``
+the array stores them, q^4 bytes each.  The header is q, s and the number of
+sets as ``WIDTH``-byte little-endian integers, then each set's four sorted
+row indices (``ooa.row_indices``), a byte each.  So q, s and the set count
+fix the input's length, 3 WIDTH + 4 count + 2s q^4 bytes, and ``read_input``
 checks those three values, then that one length, before it reads anything
 else.  ``serve`` refuses a malformed input with one line on stderr and a
 non-zero exit.  The worker rebuilds the array from the rows and scans its
@@ -33,7 +33,7 @@ import os
 import sys
 
 from .gf import MAX_ORDER
-from .ooa import STRENGTH, BandedArray, check_size, duplicate_finder
+from .ooa import STRENGTH, BandedArray, check_size, duplicate_finder, row_indices
 
 # A fresh interpreter that imports this package from the directory this file
 # sits in (-I: no PYTHONPATH, no working directory on sys.path; -S: no site)
@@ -55,18 +55,19 @@ def start(array: BandedArray, block):
     """(process, stderr file) of a worker scanning `block` of `array`.
 
     Its input is written to the anonymous file before it starts, so nothing
-    here waits on the worker.  The caller kills and waits for the process and
-    closes its stdout and the stderr file.
+    here waits on the worker, and the stderr file is opened only then, so a
+    raise leaves no file open.  The caller kills and waits for the process
+    and closes its stdout and the stderr file.
     """
     import subprocess
     import tempfile
 
-    err = tempfile.TemporaryFile()
     with tempfile.TemporaryFile() as inp:
-        inp.write(header(array.q, array.s, block))
+        inp.write(header(array.q, array.s, [row_indices(rs) for rs in block]))
         for row in array.rows:
             inp.write(row)
         inp.seek(0)
+        err = tempfile.TemporaryFile()
         try:
             proc = subprocess.Popen(ARGV, stdin=inp, stdout=subprocess.PIPE, stderr=err)
         except BaseException:
@@ -94,7 +95,7 @@ def hits(worker, block, array: BandedArray):
         if verdict == b"1":
             verdict += proc.stdout.read(2 * WIDTH)
         reply += verdict
-        hit = _named_hit(array, rowset, verdict[1:]) if verdict[:1] == b"1" else None
+        hit = _named_hit(array, row_indices(rowset), verdict[1:]) if verdict[:1] == b"1" else None
         if hit is None and verdict != b"0":
             end = None  # no end mends a bad verdict
             break
@@ -111,46 +112,44 @@ def hits(worker, block, array: BandedArray):
         raise ValueError(f"malformed reply from a row-set scan worker: {(reply + rest)[:80]!r}")
 
 
-def _named_hit(array: BandedArray, rowset, columns: bytes):
-    """The hit at the two columns a ``1`` names, or None unless its set repeats a tuple there."""
+def _named_hit(array: BandedArray, indices, columns: bytes):
+    """The hit at the two columns a ``1`` names, or None unless its rows repeat a tuple there."""
     if len(columns) != 2 * WIDTH:
         return None
     first, second = _ints(columns, 2)
     if not first < second < array.q**STRENGTH:
         return None
-    rows = [array.row(b, d) for b, d in sorted(rowset)]
+    rows = [array.rows[r] for r in indices]
     if any(row[first] != row[second] for row in rows):
         return None
     return tuple(row[second] for row in rows), first, second
 
 
 def header(q: int, s: int, sets) -> bytes:
-    """The header of a worker's input: q, s, the set count and each set's sorted labels."""
-    return _bytes([q, s, len(sets), *(x for rs in sets for label in sorted(rs) for x in label)])
+    """The header of a worker's input: q, s and the set count, then each set's row indices."""
+    return _bytes([q, s, len(sets)]) + bytes(r for rows in sets for r in rows)
 
 
 def read_input(data: bytes) -> tuple[int, int, list, tuple]:
-    """(q, s, sets, rows) of a worker's whole input `data`.
+    """(q, s, sets, rows) of a worker's whole input `data`, each set a tuple of row indices.
 
     Every value is checked before it sizes anything: q in 2..MAX_ORDER, s >= 2
     and (q, s) within ``check_size``.  Then `data` must be exactly the header
-    that its set count gives and 2s rows of q^4 bytes, and each label must
-    name a row of the array.  A bad value or length raises ValueError.
+    that its set count gives and 2s rows of q^4 bytes, and each row index
+    must be below 2s.  A bad value or length raises ValueError.
     """
     q, s, count = _ints(data, 3)
     if not (2 <= q <= MAX_ORDER and s >= 2):
         raise ValueError(f"need 2 <= q <= {MAX_ORDER} and s >= 2, got q={q}, s={s}")
     check_size(q, s)
-    ncols, at = q**STRENGTH, (3 + 2 * STRENGTH * count) * WIDTH
+    ncols, at = q**STRENGTH, 3 * WIDTH + STRENGTH * count
     size = at + 2 * s * ncols
     if len(data) != size:
         raise ValueError(f"q={q}, s={s} and {count} sets need {size} bytes, got {len(data)}")
-    labels = _ints(data[3 * WIDTH : at], 2 * STRENGTH * count)
-    pairs = list(zip(labels[::2], labels[1::2]))
-    sets = [frozenset(pairs[i : i + STRENGTH]) for i in range(0, len(pairs), STRENGTH)]
-    for k, rowset in enumerate(sets):
-        if not all(1 <= band <= s and depth in (1, 2) for band, depth in rowset):
-            raise ValueError(f"set {k}: a label names no row of the array")
+    top = max(data[3 * WIDTH : at], default=0)
+    if not top < 2 * s:
+        raise ValueError(f"a set names row {top}; the array has rows 0..{2 * s - 1}")
+    sets = [tuple(data[i : i + STRENGTH]) for i in range(3 * WIDTH, at, STRENGTH)]
     return q, s, sets, tuple(data[at + r * ncols : at + (r + 1) * ncols] for r in range(2 * s))
 
 

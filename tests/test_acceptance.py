@@ -33,6 +33,7 @@ from sudoku_ooa import (
     intersect,
     make_field,
     max_guaranteed_s,
+    row_indices,
     select_S,
     subspace_gamma,
     substrong_family,
@@ -92,12 +93,11 @@ def test_criterion_2_fixture_arrays():
     # The witness lies inside the four-top-rows set.
     four_top = frozenset({(1, 1), (2, 1), (3, 1), (4, 1)})
     assert result.row_set == four_top
-    hit = duplicate_finder(sa)(four_top)
+    rows = row_indices(four_top)
+    assert rows == (0, 2, 4, 6)
+    hit = duplicate_finder(sa)(rows)
     assert hit == (result.duplicate, result.first_column, result.second_column)
-    cols = [
-        tuple(sa.row(b, d)[m] for b, d in sorted(four_top))
-        for m in (result.first_column, result.second_column)
-    ]
+    cols = [tuple(sa.rows[r][m] for r in rows) for m in (result.first_column, result.second_column)]
     assert cols[0] == cols[1] == result.duplicate
 
 

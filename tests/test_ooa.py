@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -24,6 +25,7 @@ from sudoku_ooa import (
     generate,
     make_field,
     max_guaranteed_s,
+    row_indices,
     top_justified_sets,
     verify,
 )
@@ -193,6 +195,26 @@ def test_top_justified_order_matches_depth_vector_enumeration(s):
     assert top_justified_sets(s) == depth_vector_order(s)
 
 
+def test_row_indices_name_the_rows_assemble_lays_out():
+    # Eight grids of random digits at q = 2 give an s = 10 array whose 20
+    # rows all differ, so a row is known by its bytes.
+    q, rng = 2, random.Random(10)
+    grids = [
+        Grid(q, *(bytes(rng.randrange(q) for _ in range(q**4)) for _ in "ru")) for _ in range(8)
+    ]
+    array = assemble(grids)
+    assert array.s == 10 and len(set(array.rows)) == 20
+    x1, x2, x3, x4 = (bytes(m // q**e % q for m in range(q**4)) for e in (3, 2, 1, 0))
+    named = {(1, 1): x1, (1, 2): x2, (2, 1): x3, (2, 2): x4}
+    for band, grid in enumerate(grids, 3):
+        named[band, 1], named[band, 2] = grid.radix, grid.units
+    for s in range(2, 11):
+        for rowset in top_justified_sets(s):
+            rows = row_indices(rowset)
+            assert all(a < b for a, b in zip(rows, rows[1:])), rows
+            assert [array.rows[r] for r in rows] == [named[label] for label in sorted(rowset)]
+
+
 def test_classify_examples():
     assert classify(frozenset({(1, 1), (2, 1), (3, 1), (4, 1)})) == "2a"
     assert classify(frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})) == "sudoku-TJ"
@@ -237,7 +259,8 @@ def test_verify_sa42_array():
     assert (result.first_column, result.second_column) == (0, 1)
     # A deeper set fails too.
     deeper = frozenset({(1, 1), (3, 1), (4, 1), (4, 2)})
-    assert duplicate_finder(arr)(deeper) == ((0, 1, 1, 0), 2, 4)
+    assert row_indices(deeper) == (0, 4, 6, 7)
+    assert duplicate_finder(arr)(row_indices(deeper)) == ((0, 1, 1, 0), 2, 4)
     # Every row shape gives the same array and the same verdicts.
     for shape in ROW_SHAPES:
         same = banded(2, fx.SA42_ARRAY, shape)

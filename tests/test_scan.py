@@ -43,11 +43,12 @@ from sudoku_ooa import (
     duplicate_finder,
     generate,
     ooa,
+    row_indices,
     top_justified_sets,
     verify,
 )
 from sudoku_ooa.families import max_guaranteed_s
-from sudoku_ooa.ooa import _certifier, _slot
+from sudoku_ooa.ooa import _certifier
 from sudoku_ooa.sudoku import first_repeat
 
 ORDERS = (3, 4, 5)
@@ -68,7 +69,8 @@ def ref_scan(cells, key):
 
 
 def ref_duplicate(array, rowset):
-    rows = [array.row(b, d) for b, d in sorted(rowset)]
+    """The first repeat of a set of (band, depth) labels, over its rows in label order."""
+    rows = [array.rows[2 * (b - 1) + d - 1] for b, d in sorted(rowset)]
     return ref_scan(range(array.q**4), lambda m: tuple(r[m] for r in rows))
 
 
@@ -180,29 +182,46 @@ def test_row_set_witnesses_match_reference(q):
         first_duplicate = duplicate_finder(broken)
         for rowset in top_justified_sets(broken.s):
             want = ref_duplicate(broken, rowset)
-            assert first_duplicate(rowset) == want
+            assert first_duplicate(row_indices(rowset)) == want
             if want is not None and first_fail is None:
                 first_fail = VerifyResult(False, rowset, *want)
         assert first_fail is not None
         assert verify(broken, "ooa").witness_text() == first_fail.witness_text()
 
 
-# q = 4 and 16 have the largest 1- and 2-byte keys (255 and 65535); q = 5 and
-# 17 are the first orders whose keys need 2 and 4 bytes.
-@pytest.mark.parametrize("q,width", [(2, 1), (4, 1), (5, 2), (16, 2), (17, 4)])
-def test_packed_scan_at_slot_width_boundaries(q, width):
-    assert _slot(q)[1] == width
+# Keys take 2-byte slots where the certificate runs (q^2 <= 256) and 4-byte
+# slots past it.  q = 16 has the largest 2-byte key, 65535; q = 17 is the
+# first order without the certificate.
+@pytest.mark.parametrize("q,width", [(2, 2), (4, 2), (5, 2), (16, 2), (17, 4)])
+def test_packed_scan_at_slot_width_boundaries(monkeypatch, q, width):
+    built, keyed, widths = [], [], []
+
+    def viewed(data):  # the packed keys' bytes, q^4 slots
+        widths.append(len(data) // q**4)
+        return memoryview(data)
+
+    monkeypatch.setattr(ooa, "_certifier", lambda arr: built.append(arr) or _certifier(arr))
+    monkeypatch.setattr(ooa, "first_repeat", lambda keys: keyed.append(keys) or first_repeat(keys))
+    monkeypatch.setattr(ooa, "memoryview", viewed, raising=False)
     rng = random.Random(300 + q)
     array = location_array(q)
     (rowset,) = top_justified_sets(2)
-    assert duplicate_finder(array)(rowset) is None
+    rows = row_indices(rowset)
+    assert duplicate_finder(array)(rows) is None
     assert verify(array, "ooa") == VerifyResult(True)
+    assert len(built) == (2 if width == 2 else 0)  # the finder's and verify's
     for _ in range(3):
         broken = corrupt_array(array, rng)
         want = ref_duplicate(broken, rowset)
         assert want is not None
-        assert duplicate_finder(broken)(rowset) == want
+        keyed.clear()
+        assert duplicate_finder(broken)(rows) == want
+        # Column m's key is its 4-tuple in base q: no slot carried.
+        (keys,) = keyed
+        columns = zip(*(broken.rows[r] for r in rows))
+        assert keys == [((a * q + b) * q + c) * q + d for a, b, c, d in columns]
         assert verify(broken, "ooa") == VerifyResult(False, rowset, *want)
+    assert widths and set(widths) == {width}
 
 
 def certificate_cases(q, s):
@@ -225,17 +244,18 @@ def certificate_cases(q, s):
 def test_certificate_against_reference(monkeypatch, q):
     s = min(4 if q < 16 else 3, max_guaranteed_s(q))
     sets = top_justified_sets(s)
-    three = frozenset(sorted(sets[-1])[1:])
+    three = frozenset(sorted(sets[-1])[1:])  # 3 labels
     if q > 16:
         monkeypatch.setattr(ooa, "_certifier", None)  # never called
     certified_sets = {}
     for name, array in certificate_cases(q, s):
         first_duplicate = duplicate_finder(array)
-        certified = _certifier(array) if q <= 16 else lambda rowset: False
+        certified = _certifier(array) if q <= 16 else lambda rows: False
         for rowset in [*sets, three]:
             want = ref_duplicate(array, rowset)
-            assert first_duplicate(rowset) == want, (name, sorted(rowset))
-            if certified(rowset):
+            rows = row_indices(rowset)
+            assert first_duplicate(rows) == want, (name, sorted(rowset))
+            if certified(rows):
                 assert want is None, (name, sorted(rowset))
                 certified_sets[name] = certified_sets.get(name, 0) + 1
         assert ref_duplicate(array, three) is not None

@@ -32,6 +32,7 @@ from sudoku_ooa import (
     generate,
     intersect,
     make_field,
+    row_indices,
     subspace_gamma,
     substrong_family,
     top_justified_sets,
@@ -253,7 +254,7 @@ def test_combinatorial_witness_names_a_repeat_of_the_condition_row_sets():
         assert (r1, c1) < (r2, c2)
         for r, c in ((r1, c1), (r2, c2)):
             column = r * array.q**2 + c
-            assert "".join(str(array.row(b, d)[column]) for b, d in labels) == match[2]
+            assert "".join(str(array.rows[r][column]) for r in row_indices(labels)) == match[2]
 
 
 # The paper's form (ooa.classify) of each set a ROW_SETS entry lists, in order.

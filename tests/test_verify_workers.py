@@ -23,6 +23,7 @@ one line and no verdict.  After every call, this process has no child left
 from __future__ import annotations
 
 import ast
+import errno
 import glob
 import io
 import json
@@ -30,9 +31,11 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import closing
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,6 +51,7 @@ from sudoku_ooa import (
     generate,
     make_field,
     ooa,
+    row_indices,
     strong,
     substrong_family,
     top_justified_sets,
@@ -127,7 +131,7 @@ def corrupted(array: BandedArray, labels) -> BandedArray:
 def failing_indices(array: BandedArray, sets) -> list[int]:
     """Indices of the failing sets, by the serial scanner."""
     scan = ooa.duplicate_finder(array)
-    return [i for i, rs in enumerate(sets) if scan(rs) is not None]
+    return [i for i, rs in enumerate(sets) if scan(row_indices(rs)) is not None]
 
 
 def failing_blocks(array: BandedArray, mode: str) -> list[int]:
@@ -140,11 +144,11 @@ def delaying_worker(delays: dict[int, float], array: BandedArray, mode: str) -> 
     """Worker argv that sleeps delays[k] seconds before scanning block k."""
     sets = mode_sets(array.s, mode)
     bounds = block_bounds(len(sets))
-    by_first = {repr(sorted(sets[bounds[k]])): seconds for k, seconds in delays.items()}
+    by_first = {row_indices(sets[bounds[k]]): seconds for k, seconds in delays.items()}
     code = (
         f"import io, sys, time; sys.path.insert(0, {str(SRC)!r}); "
         "from sudoku_ooa.workers import read_input, serve; data = sys.stdin.buffer.read(); "
-        "first = repr(sorted(read_input(data)[2][0])); "
+        "first = read_input(data)[2][0]; "
         f"time.sleep({by_first!r}.get(first, 0)); "
         "serve(io.BytesIO(data), sys.stdout.buffer)"
     )
@@ -155,11 +159,11 @@ def garbling_worker(served, array: BandedArray, mode: str) -> tuple:
     """Worker argv that scans the blocks in `served` and replies PASS to the rest."""
     sets = mode_sets(array.s, mode)
     bounds = block_bounds(len(sets))
-    firsts = {repr(sorted(sets[bounds[k]])) for k in served}
+    firsts = {row_indices(sets[bounds[k]]) for k in served}
     code = (
         f"import io, sys; sys.path.insert(0, {str(SRC)!r}); "
         "from sudoku_ooa.workers import read_input, serve; data = sys.stdin.buffer.read(); "
-        "first = repr(sorted(read_input(data)[2][0])); "
+        "first = read_input(data)[2][0]; "
         f"serve(io.BytesIO(data), sys.stdout.buffer) if first in {firsts!r} else print('PASS')"
     )
     return (sys.executable, "-I", "-c", code)
@@ -385,7 +389,11 @@ def test_reply_rules_hold_where_the_named_sets_fail(monkeypatch):
     # Every set of the block fails, so only the rule under test rejects a reply.
     array = corrupted(family_array(3), [(1, 1)])
     block = [rs for rs in top_justified_sets(array.s) if (1, 1) in rs][:3]
-    finder = ooa.duplicate_finder(array)
+    scan = ooa.duplicate_finder(array)
+
+    def finder(rowset):
+        return scan(row_indices(rowset))
+
     assert all(finder(rs) is not None for rs in block)
 
     def reply(data: bytes) -> list:
@@ -416,7 +424,7 @@ def test_reply_rules_hold_where_the_named_sets_fail(monkeypatch):
         with pytest.raises(ValueError, match="malformed reply"):
             reply(data)
     _, first, second = finder(block[0])
-    rows = [array.row(b, d) for b, d in sorted(block[0])]
+    rows = [array.rows[r] for r in row_indices(block[0])]
     differ = next(m for m in range(array.q**4) if rows[0][m] != rows[0][first])
     named = [
         (first, differ) if first < differ else (differ, first),  # rows that differ
@@ -476,7 +484,7 @@ def test_a_reply_that_ends_early_gives_one_pair_per_byte_sent(monkeypatch, code,
         with closing(ooa.scan(array, sets)) as pairs:
             return pairs_then_error(pairs)
 
-    own = [(rs, finder(rs)) for rs in sets[: block_bounds(len(sets))[1]]]
+    own = [(rs, finder(row_indices(rs))) for rs in sets[: block_bounds(len(sets))[1]]]
     assert run_split(monkeypatch, three_blocks) == (own + [(sets[len(own)], None)], repr(error))
 
 
@@ -490,7 +498,7 @@ def assert_split_pairs_are_one_process_pairs(monkeypatch, array, sets) -> None:
 
     finder = ooa.duplicate_finder(array)
     serial = run_split(monkeypatch, read, parallel=False)
-    assert serial == [(rs, finder(rs)) for rs in sets]
+    assert serial == [(rs, finder(row_indices(rs))) for rs in sets]
     assert run_split(monkeypatch, read) == serial
 
 
@@ -519,7 +527,7 @@ def test_split_pairs_are_the_one_process_pairs_on_check_combinatorial_sets(monke
 
 def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
     array = corrupted(family_array(3), [(1, 1)])
-    sets = mode_sets(array.s, "ooa")
+    sets = [row_indices(rs) for rs in mode_sets(array.s, "ooa")]
     inp = tmp_path / "in"
     inp.write_bytes(workers.header(3, array.s, sets) + b"".join(array.rows))
     rebuilt, scanned = [], []
@@ -535,9 +543,9 @@ def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
         return recording
 
     monkeypatch.setattr(workers, "duplicate_finder", recording_finder)
-    failing = failing_indices(array, sets)
-    assert failing[0] == 0 and len(failing) > 1
     finder = ooa.duplicate_finder(array)
+    failing = [i for i, rows in enumerate(sets) if finder(rows) is not None]
+    assert failing[0] == 0 and len(failing) > 1
     verdicts = [fail(finder(rs)) if i in failing else b"0" for i, rs in enumerate(sets)]
     out = tmp_path / "out"
     with inp.open("rb") as i, out.open("wb") as o:
@@ -557,15 +565,93 @@ def test_worker_replies_once_and_stops_when_orphaned(tmp_path, monkeypatch):
     assert all(type(row) is bytes for arr in rebuilt for row in arr.rows)
 
 
+def test_header_spends_one_byte_on_each_row_index():
+    # s = 34, the largest s the row-set budget admits, has rows 0..67: the
+    # header is q, s and the count as integers, then 4 bytes a set.
+    q, s = 16, 34
+    block = [row_indices(rs) for rs in top_justified_sets(s)[-1000:]]
+    head = workers.header(q, s, block)
+    assert len(head) == 3 * workers.WIDTH + 4 * len(block)
+    assert max(head[3 * workers.WIDTH :]) == 2 * s - 1
+    assert workers.read_input(head + bytes(2 * s * q**4))[:3] == (q, s, block)
+
+
+def opened_files(monkeypatch) -> list:
+    """Every file that ``tempfile.TemporaryFile`` opens from now on."""
+    opened, make = [], tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        opened.append(make(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    return opened
+
+
+def interrupted(*args):
+    raise KeyboardInterrupt
+
+
+def full_disk_rows(rows):
+    """`rows`' first row, then the error of a write to a full disk."""
+    yield rows[0]
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("where", ["header", "rows"])
+def test_a_raise_while_writing_a_worker_input_leaves_no_file_open(monkeypatch, where):
+    array = family_array(3)
+    block = top_justified_sets(array.s)[:3]
+    if where == "header":
+        monkeypatch.setattr(workers, "header", interrupted)
+        error = KeyboardInterrupt
+    else:
+        array = SimpleNamespace(q=array.q, s=array.s, rows=full_disk_rows(array.rows))
+        error = OSError
+    opened = opened_files(monkeypatch)
+    with pytest.raises(error):
+        workers.start(array, block)
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_a_worker_that_cannot_start_leaves_no_file_open(tmp_path, monkeypatch):
+    array = family_array(3)
+    monkeypatch.setattr(workers, "ARGV", (str(tmp_path / "no-such-interpreter"),))
+    opened = opened_files(monkeypatch)
+    with pytest.raises(FileNotFoundError):
+        workers.start(array, top_justified_sets(array.s)[:3])
+    assert len(opened) == 2 and all(f.closed for f in opened)
+
+
+def test_a_worker_that_cannot_start_is_an_error_and_the_started_one_is_reaped(monkeypatch):
+    # Three blocks: block 1's worker starts, block 2's start raises, and the
+    # raise closes the scan, which kills and reaps block 1's worker.
+    array = family_array(7)
+    started, start = [], workers.start
+
+    def second_fails(array, block):
+        if started:
+            raise OSError("no worker for block 2")
+        started.append(start(array, block))
+        return started[-1]
+
+    monkeypatch.setattr(workers, "start", second_fails)
+    with pytest.raises(OSError, match="no worker for block 2"):
+        run_verify(monkeypatch, array)
+    [(proc, err)] = started
+    assert proc.returncode is not None and proc.stdout.closed and err.closed
+
+
 def malformed_inputs() -> dict[str, tuple[bytes, str]]:
     """Inputs for a worker on the q = 3, s = 4 array with one fault each, by
     name, and the reason the worker gives for refusing each.  An input whose
     header values pass is refused by its length unless it is exactly the
-    header of its set count, 3 + 8 count integers, and the 2s rows of q^4
-    bytes."""
+    header of its set count, 3 integers and 4 bytes a set, and the 2s rows of
+    q^4 bytes."""
     array = family_array(3)
     q, s, rows = array.q, array.s, array.rows
-    sets = top_justified_sets(s)
+    labels = top_justified_sets(s)
+    sets = [row_indices(rs) for rs in labels]
     body = b"".join(rows)
     head = workers.header(q, s, sets)
 
@@ -574,13 +660,13 @@ def malformed_inputs() -> dict[str, tuple[bytes, str]]:
         return head[:at] + count.to_bytes(workers.WIDTH, "little") + head[at + workers.WIDTH :]
 
     def length(data: bytes, count: int = len(sets)) -> tuple[bytes, str]:
-        size = (3 + 8 * count) * workers.WIDTH + 2 * s * q**4
+        size = 3 * workers.WIDTH + 4 * count + 2 * s * q**4
         return data, f"q={q}, s={s} and {count} sets need {size} bytes, got {len(data)}"
 
     past_q = bytearray(body)
     past_q[3 * q**4 + 5] = q  # row 3, column 5
 
-    old = json.dumps({"q": q, "s": s, "sets": [sorted(rs) for rs in sets]}).encode() + b"\n"
+    old = json.dumps({"q": q, "s": s, "sets": [sorted(rs) for rs in labels]}).encode() + b"\n"
     bounds = "need 2 <= q <= 256 and s >= 2"
     return {
         "json-header": (old + body, f"{bounds}, got q=577839739, s=741548090"),
@@ -593,17 +679,9 @@ def malformed_inputs() -> dict[str, tuple[bytes, str]]:
         ),
         "count-past-the-input": length(with_count(len(sets) + 1), len(sets) + 1),
         "count-past-the-sets": length(with_count(2**32 - 1) + body, 2**32 - 1),
-        "band-past-s": (
-            workers.header(q, s, [*sets[:3], {(1, 1), (2, 1), (3, 1), (5, 1)}]) + body,
-            "set 3: a label names no row of the array",
-        ),
-        "band-0": (
-            workers.header(q, s, [{(0, 1), (2, 1), (3, 1), (4, 1)}]) + body,
-            "set 0: a label names no row of the array",
-        ),
-        "depth-3": (
-            workers.header(q, s, [{(1, 1), (1, 2), (2, 1), (2, 3)}]) + body,
-            "set 0: a label names no row of the array",
+        "row-past-2s": (
+            workers.header(q, s, [*sets[:3], (0, 2, 4, 2 * s)]) + body,
+            "a set names row 8; the array has rows 0..7",
         ),
         "short-row": length(head + body[:-1]),
         "past-the-last-row": length(head + body + b"\0"),
@@ -653,7 +731,7 @@ def test_malformed_worker_input_is_an_error(tmp_path, monkeypatch, capsys):
     )
     assert run_with_worker(tmp_path, monkeypatch, capsys, code, None) == (
         2, "", "error: a row-set scan worker exited with code 1: "
-        "malformed worker input: q=3, s=4 and 9 sets need 948 bytes, got 13\n"
+        "malformed worker input: q=3, s=4 and 9 sets need 696 bytes, got 13\n"
     )
 
 
